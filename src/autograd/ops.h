@@ -41,8 +41,8 @@ Var lowrank_linear(const Var& x, const Var& v, const Var& u);
 // Fused factorized convolution, tape-free forward only (throws if grad
 // taping is active and any input requires grad): x (N, C_in, H, W),
 // u (r, C_in, k, k), v (C_out, r, 1, 1). Computes conv(x, u) -> 1x1
-// conv(., v) per sample without materializing the full (N, r, oh, ow)
-// intermediate or re-running im2col on it. Training uses the two-conv
+// conv(., v) per chunk of samples without materializing the full
+// (N, r, oh, ow) intermediate or re-running im2col on it. Training uses the two-conv
 // composition (see nn::LowRankConv2d).
 Var lowrank_conv2d(const Var& x, const Var& u, const Var& v, int64_t stride,
                    int64_t pad);

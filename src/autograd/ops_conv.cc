@@ -1,7 +1,8 @@
-// Convolution and pooling. Convolution is computed with im2col + GEMM;
-// the backward pass recomputes the column matrix per sample instead of
-// caching it (it is cheap relative to the GEMMs and keeps peak memory at
-// one column buffer).
+// Convolution and pooling. Convolution is computed with im2col + GEMM over
+// cache-sized chunks of samples (tensor/im2col.h: for_each_conv_chunk), so
+// one GEMM spans many images; the backward pass re-lowers each chunk instead
+// of caching the columns (cheap relative to the GEMMs, and it keeps peak
+// memory at one chunk's column matrix).
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
@@ -33,55 +34,56 @@ Var conv2d(const Var& x, const Var& w, int64_t stride, int64_t pad) {
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t spatial = oh * ow, patch = g.patch();
 
-  Tensor out(Shape{n, c_out, oh, ow});  // zero-filled: matmul_accum does +=
+  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
   // Weight viewed as (c_out, patch): PyTorch layout (c_out, c_in, k, k)
   // flattens to exactly that row-major 2-D view.
   const Tensor& xv = x->value;  // const reads: no COW unshare of shard views
   const Tensor& wv = w->value;
-  Tensor col = Tensor::uninit(Shape{patch, spatial});
-  float* colp = col.data();
   float* outp = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    im2col(xv.data() + i * c_in * h * wd, g, colp);
-    matmul_accum(wv.data(), colp, outp + i * c_out * spatial, c_out, patch,
-                 spatial);
-  }
+  // Per chunk: Y (c_out, b*spatial) = W (c_out, patch) @ col, then scatter
+  // Y's per-sample column blocks back to NCHW.
+  for_each_conv_chunk(
+      xv.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
+        Tensor y(Shape{c_out, b * spatial});  // zero-filled: matmul_accum +=
+        matmul_accum(wv.data(), col.data(), y.data(), c_out, patch,
+                     b * spatial);
+        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
+                      outp + i0 * c_out * spatial);
+      });
 
-  return make_node(std::move(out), {x, w}, [g, stride, pad](Node& nd) {
+  return make_node(std::move(out), {x, w}, [g](Node& nd) {
     const Var& x = nd.inputs[0];
     const Var& w = nd.inputs[1];
     const Tensor& xv = x->value;
     const Tensor& gr = nd.grad;
     const int64_t n = xv.size(0);
-    const int64_t c_in = g.c_in, h = g.h, wd = g.w;
     const int64_t c_out = w->value.size(0);
-    const int64_t oh = g.out_h(), ow = g.out_w();
-    const int64_t spatial = oh * ow, patch = g.patch();
-    (void)stride;
-    (void)pad;
+    const int64_t spatial = g.out_h() * g.out_w(), patch = g.patch();
+    const bool need_dw = w->requires_grad, need_dx = x->requires_grad;
 
-    Tensor dw(w->shape());
-    Tensor dx(x->shape());
-    float* dxp = dx.data();
-    Tensor col = Tensor::uninit(Shape{patch, spatial});
-    for (int64_t i = 0; i < n; ++i) {
-      // Per-sample dY as a zero-copy window of the incoming grad.
-      Tensor dy_t = gr.narrow(i, 1).reshape(Shape{c_out, spatial});
-      if (w->requires_grad) {
-        im2col(xv.data() + i * c_in * h * wd, g, col.data());
-        // dW (c_out, patch) += dY (c_out, spatial) @ col^T (spatial, patch).
-        Tensor dwi = pf::matmul_nt(dy_t, col);  // (c_out, patch)
-        dw.add_(dwi.reshape(w->shape()));
-      }
-      if (x->requires_grad) {
-        // dcol = W^T (patch, c_out) @ dY (c_out, spatial).
-        Tensor w2d = w->value.reshape(Shape{c_out, patch});
-        Tensor dcol_t = pf::matmul_tn(w2d, dy_t);  // (patch, spatial)
-        col2im(std::as_const(dcol_t).data(), g, dxp + i * c_in * h * wd);
-      }
-    }
-    if (w->requires_grad) w->accumulate(dw);
-    if (x->requires_grad) x->accumulate(dx);
+    Tensor dwt = need_dw ? Tensor(Shape{patch, c_out}) : Tensor();
+    Tensor dx = need_dx ? Tensor(x->shape()) : Tensor();
+    float* dxp = need_dx ? dx.data() : nullptr;
+    const Tensor w2d = w->value.reshape(Shape{c_out, patch});
+    for_each_conv_chunk(
+        xv.data(), g, n, need_dw,
+        [&](int64_t i0, int64_t b, const Tensor& col) {
+          // The chunk's dY in the forward GEMM's (c_out, b*spatial) layout.
+          Tensor dy = Tensor::uninit(Shape{c_out, b * spatial});
+          nchw_to_chunk(gr.data() + i0 * c_out * spatial, c_out, b, spatial,
+                        dy.data());
+          // dW^T (patch, c_out) += col @ dY^T: the same dot products as
+          // dY @ col^T, bit for bit, but the deep operand packs as
+          // contiguous A panels (DESIGN.md §13).
+          if (need_dw) dwt.add_(pf::matmul_nt(col, dy));
+          if (need_dx) {
+            // dcol = W^T (patch, c_out) @ dY (c_out, b*spatial).
+            const Tensor dcol = pf::matmul_tn(w2d, dy);
+            col2im(dcol.data(), g, dxp + i0 * g.c_in * g.h * g.w, b);
+          }
+        });
+    if (need_dw) w->accumulate(dwt.t().reshape(w->shape()));
+    if (need_dx) x->accumulate(dx);
   });
 }
 
@@ -106,27 +108,27 @@ Var lowrank_conv2d(const Var& x, const Var& u, const Var& v, int64_t stride,
   const int64_t spatial = oh * ow, patch = g.patch();
   PF_TRACE_SCOPE_C("lowrank_conv", n * spatial * r * (patch + c_out));
 
-  Tensor out(Shape{n, c_out, oh, ow});  // zero-filled: matmul_accum does +=
+  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
   const Tensor& xv = x->value;  // const reads: no COW unshare
   const Tensor& uv = u->value;
   const Tensor& vv = v->value;
-  Tensor col = Tensor::uninit(Shape{patch, spatial});
-  Tensor mid(Shape{r, spatial});
-  float* colp = col.data();
-  float* midp = mid.data();
   float* outp = out.data();
-  // Per sample: im2col once, then U (r, patch) @ col and V (c_out, r) @ mid.
-  // The unfused path ran a second conv2d whose 1x1 im2col is an identity
-  // copy of the whole (n, r, oh, ow) intermediate; here `mid` is one sample
-  // wide and feeds the second GEMM directly, so bits match the two-conv
-  // composition per backend while skipping the copy and the big allocation.
-  for (int64_t i = 0; i < n; ++i) {
-    im2col(xv.data() + i * c_in * h * wd, g, colp);
-    std::fill(midp, midp + r * spatial, 0.0f);
-    matmul_accum(uv.data(), colp, midp, r, patch, spatial);
-    matmul_accum(vv.data(), midp, outp + i * c_out * spatial, c_out, r,
-                 spatial);
-  }
+  // Per chunk: U (r, patch) @ col into a rank-width `mid`, then
+  // V (c_out, r) @ mid. The unfused path ran a second conv2d whose 1x1
+  // im2col is an identity copy of the whole (n, r, oh, ow) intermediate;
+  // here `mid` is one chunk wide and feeds the second GEMM directly, so bits
+  // match the two-conv composition per backend while skipping the copy and
+  // the big allocation.
+  for_each_conv_chunk(
+      xv.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
+        Tensor mid(Shape{r, b * spatial});  // zero-filled: matmul_accum +=
+        Tensor y(Shape{c_out, b * spatial});
+        matmul_accum(uv.data(), col.data(), mid.data(), r, patch, b * spatial);
+        matmul_accum(vv.data(), std::as_const(mid).data(), y.data(), c_out, r,
+                     b * spatial);
+        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
+                      outp + i0 * c_out * spatial);
+      });
   return make_node(std::move(out), {x, u, v}, nullptr);
 }
 

@@ -4,8 +4,10 @@
 // strips, A is packed per row-chunk per k-block into (KC x MR) row strips,
 // and a 6x16 register-tiled microkernel (12 ymm accumulators, two B loads +
 // six A broadcasts + twelve FMAs per k step) sweeps the tiles. Edge tiles
-// (m % 6, n % 16, any k) are computed into a zero-padded local tile and
-// added back, so no masked loads or scalar inner loops sit on the hot path.
+// (m % 6, n % 16, any k) run the same kernel on a local tile loaded from the
+// valid region of C and stored back, so no masked loads or scalar inner
+// loops sit on the hot path, and every element of C -- in a full tile or an
+// edge tile -- carries one FMA chain through C in ascending k.
 //
 // Parallelism rides the existing deterministic runtime::parallel_for row
 // partitioning (grain MC): chunk boundaries depend only on (m, MC), never on
@@ -69,12 +71,20 @@ struct Scratch {
 };
 
 // ---------------------------------------------------------------------------
-// Packing. Packed B layout: strip (pc, js) is a contiguous KC*NR panel at
-// bp + (pc*nstrips + js)*KC*NR with element (kk, j) at [kk*NR + j]; columns
-// past n are zeroed so edge tiles can run the full-width kernel. Packed A
+// Packing. Packed B layout: strip (pc, js) is a contiguous kc*NR panel at
+// bp + b_strip(pc, js, nstrips, kc) with element (kk, j) at [kk*NR + j],
+// where kc is the k block's real depth (KC except for the last block), so a
+// whole pack is exactly nstrips*k*NR floats; columns past n are zeroed so
+// edge tiles can run the full-width kernel. Packed A
 // layout per row chunk: strip `is` is a KC*MR panel at ap + is*KC*MR with
 // element (r, kk) at [kk*MR + r]; rows past m are zeroed.
 // ---------------------------------------------------------------------------
+
+// Offset of packed-B strip (pc, js): every block before pc is a full KC
+// deep, and the strips of block pc are kc*NR floats each.
+inline int64_t b_strip(int64_t pc, int64_t js, int64_t nstr, int64_t kc) {
+  return pc * nstr * KC * NR + js * kc * NR;
+}
 
 template <Trans TB>
 PF_TARGET_AVX2 void pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
@@ -84,7 +94,7 @@ PF_TARGET_AVX2 void pack_b(const float* b, int64_t ldb, int64_t k, int64_t n,
     const int64_t k0 = pc * KC, kc = std::min(KC, k - k0);
     for (int64_t js = 0; js < nstr; ++js) {
       const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      float* dst = bp + (pc * nstr + js) * (KC * NR);
+      float* dst = bp + b_strip(pc, js, nstr, kc);
       if constexpr (TB == Trans::N) {
         // b is (k, n) row-major: each kk row copies NR contiguous floats.
         for (int64_t kk = 0; kk < kc; ++kk) {
@@ -174,7 +184,7 @@ PF_TARGET_AVX2 void pack_b_qt(const QView& b, int64_t ldb, int64_t k,
     const int64_t k0 = pc * KC, kc = std::min(KC, k - k0);
     for (int64_t js = 0; js < nstr; ++js) {
       const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      float* dst = bp + (pc * nstr + js) * (KC * NR);
+      float* dst = bp + b_strip(pc, js, nstr, kc);
       for (int64_t j = 0; j < nr; ++j) {
         const int64_t row = j0 + j;
         if (b.b16) {
@@ -286,16 +296,22 @@ PF_TARGET_AVX2 void kern_6x16(int64_t kc, const float* ap, const float* bp,
   _mm256_storeu_ps(c + 5 * ldc, c50), _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
 
-// Edge tile (mr < MR and/or nr < NR): run the full-width kernel into a
-// zeroed local tile (packed operands are zero-padded, so the extra lanes
-// compute zeros) and add the valid region into c.
+// Edge tile (mr < MR and/or nr < NR): load the valid region of c into a
+// zero-padded local tile, run the full-width kernel on it (packed operands
+// are zero-padded, so the extra lanes compute zeros) and store the valid
+// region back. Starting the accumulators from c, as kern_6x16 does, keeps
+// an element's bits independent of whether its row or column lands in a
+// full or an edge tile -- which is what makes a GEMM's rows and columns
+// invariant to the batch they are computed in.
 PF_TARGET_AVX2 void kern_edge(int64_t kc, const float* ap, const float* bp,
                               float* c, int64_t ldc, int64_t mr, int64_t nr) {
-  alignas(32) float tmp[MR * NR];
+  alignas(32) float tmp[MR * NR] = {};
+  for (int64_t r = 0; r < mr; ++r)
+    for (int64_t j = 0; j < nr; ++j) tmp[r * NR + j] = c[r * ldc + j];
   __m256 acc[MR][2];
   for (int64_t r = 0; r < MR; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+    acc[r][0] = _mm256_load_ps(tmp + r * NR);
+    acc[r][1] = _mm256_load_ps(tmp + r * NR + 8);
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
     const __m256 b0 = _mm256_loadu_ps(bp);
@@ -313,7 +329,7 @@ PF_TARGET_AVX2 void kern_edge(int64_t kc, const float* ap, const float* bp,
     _mm256_store_ps(tmp + r * NR + 8, acc[r][1]);
   }
   for (int64_t r = 0; r < mr; ++r)
-    for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] += tmp[r * NR + j];
+    for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = tmp[r * NR + j];
 }
 
 // One row chunk [r0, r1) of the packed GEMM: pack A per k block, then sweep
@@ -334,7 +350,7 @@ PF_TARGET_AVX2 void gemm_chunk(const float* a, int64_t lda,
     pack_a<TA>(achunk, lda, mc, k0, kc, apack);
     for (int64_t js = 0; js < nstr_n; ++js) {
       const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      const float* bp = bp_all + (pc * nstr_n + js) * (KC * NR);
+      const float* bp = bp_all + b_strip(pc, js, nstr_n, kc);
       for (int64_t is = 0; is < nstr_m; ++is) {
         const int64_t i0 = is * MR, mr = std::min(MR, mc - i0);
         const float* ap = apack + is * (KC * MR);
@@ -356,8 +372,7 @@ PF_TARGET_AVX2 void gemm_chunk(const float* a, int64_t lda,
 template <Trans TA, Trans TB>
 void gemm_packed(const float* a, int64_t lda, const float* b, int64_t ldb,
                  float* c, int64_t ldc, int64_t m, int64_t k, int64_t n) {
-  const int64_t npc = ceil_div(k, KC), nstr_n = ceil_div(n, NR);
-  Scratch bpack(npc * nstr_n * KC * NR);
+  Scratch bpack(ceil_div(n, NR) * k * NR);
   pack_b<TB>(b, ldb, k, n, bpack.p);
   const float* bp_all = bpack.p;
   runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {
@@ -381,7 +396,7 @@ PF_TARGET_AVX2 void gemm_chunk_qa(const QView& a, int64_t lda,
     pack_a_qn(a, lda, r0, mc, k0, kc, apack);
     for (int64_t js = 0; js < nstr_n; ++js) {
       const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      const float* bp = bp_all + (pc * nstr_n + js) * (KC * NR);
+      const float* bp = bp_all + b_strip(pc, js, nstr_n, kc);
       for (int64_t is = 0; is < nstr_m; ++is) {
         const int64_t i0 = is * MR, mr = std::min(MR, mc - i0);
         const float* ap = apack + is * (KC * MR);
@@ -446,8 +461,7 @@ class Avx2Backend final : public Backend {
       Backend::gemm_nt_q(a, b, c, m, k, n);
       return;
     }
-    const int64_t npc = ceil_div(k, KC), nstr_n = ceil_div(n, NR);
-    Scratch bpack(npc * nstr_n * KC * NR);
+    Scratch bpack(ceil_div(n, NR) * k * NR);
     pack_b_qt(b, k, k, n, bpack.p);
     const float* bp_all = bpack.p;
     runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {
@@ -462,8 +476,7 @@ class Avx2Backend final : public Backend {
       Backend::gemm_qa_nn(a, b, c, m, k, n);
       return;
     }
-    const int64_t npc = ceil_div(k, KC), nstr_n = ceil_div(n, NR);
-    Scratch bpack(npc * nstr_n * KC * NR);
+    Scratch bpack(ceil_div(n, NR) * k * NR);
     pack_b<Trans::N>(b, n, k, n, bpack.p);
     const float* bp_all = bpack.p;
     runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {

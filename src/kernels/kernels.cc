@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/buffer_pool.h"
 #include "runtime/thread_pool.h"
@@ -16,70 +17,127 @@ namespace pf::kernels {
 
 namespace {
 
-// Column rows per parallel chunk: each row is `spatial` floats, so target a
+// Column rows per parallel chunk: each row is `cols` floats, so target a
 // few KB of writes per chunk to keep dispatch overhead off small convs.
-int64_t col_row_grain(int64_t spatial) {
-  return std::max<int64_t>(1, 8192 / std::max<int64_t>(1, spatial));
+int64_t col_row_grain(int64_t cols) {
+  return std::max<int64_t>(1, 8192 / std::max<int64_t>(1, cols));
+}
+
+// One channel's nb image planes as the tap loops walk them: planes `ps`
+// floats apart, rows `ld` apart. With padding they are zero-bordered
+// copies, so every kernel tap reads in bounds and the loops carry no
+// bounds checks: tap (ki, kj) of output (oy, ox) sits at
+// (oy*stride + ki) * ld + ox*stride + kj of its plane.
+struct TapGeom {
+  int64_t nb, ps, ld, oh, ow, stride;
+};
+
+// Walks one kernel tap's window over the nb planes (`plane` points at the
+// tap's offset in plane 0) alongside the tap's column-matrix row `col`,
+// calling op(plane element, column element) in column order. W > 0 fixes
+// the window width at compile time: the 2- to 16-wide outputs of late
+// ResNet stages then unroll instead of paying a loop prologue per row.
+template <int64_t W, class P, class C, class Op>
+void tap_rows_w(P* plane, C* col, const TapGeom& t, Op op) {
+  const int64_t ow = W > 0 ? W : t.ow;
+  for (int64_t s = 0; s < t.nb; ++s)
+    for (int64_t oy = 0; oy < t.oh; ++oy, col += ow) {
+      P* __restrict src = plane + s * t.ps + oy * t.stride * t.ld;
+      C* __restrict dst = col;
+      for (int64_t ox = 0; ox < ow; ++ox) op(src[ox * t.stride], dst[ox]);
+    }
+}
+
+template <class P, class C, class Op>
+void tap_rows(P* plane, C* col, const TapGeom& t, Op op) {
+  switch (t.ow) {
+    case 2: return tap_rows_w<2>(plane, col, t, op);
+    case 4: return tap_rows_w<4>(plane, col, t, op);
+    case 8: return tap_rows_w<8>(plane, col, t, op);
+    case 16: return tap_rows_w<16>(plane, col, t, op);
+    default: return tap_rows_w<0>(plane, col, t, op);
+  }
+}
+
+// The walk geometry for g: bordered planes with padding, else the image
+// planes in place (a whole image apart).
+TapGeom tap_geom(const ConvGeom& g, int64_t nb) {
+  const int64_t ld = g.w + 2 * g.pad;
+  const int64_t ps = g.pad > 0 ? (g.h + 2 * g.pad) * ld : g.c_in * g.h * g.w;
+  return TapGeom{nb, ps, ld, g.out_h(), g.out_w(), g.stride};
 }
 
 }  // namespace
 
-// Default (scalar, seed-identical) convolution lowering. Moved verbatim from
-// src/tensor/im2col.cc; the pf::im2col / pf::col2im wrappers keep the trace
-// spans so per-op flop accounting is backend-independent.
-void Backend::im2col(const float* img, const ConvGeom& g, float* col) const {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t spatial = oh * ow;
-  const int64_t kk2 = g.kernel * g.kernel;
-  // Column layout: row index = (c*k + ki)*k + kj, col index = oy*ow + ox.
-  // Every column row is written by exactly one chunk, so the parallel split
-  // over rows is race-free and bit-identical to the serial walk.
-  runtime::parallel_for(
-      0, g.c_in * kk2, col_row_grain(spatial), [=](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int64_t c = r / kk2;
-          const int64_t ki = (r % kk2) / g.kernel;
-          const int64_t kj = r % g.kernel;
-          const float* plane = img + c * g.h * g.w;
-          float* crow = col + r * spatial;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            const int64_t iy = oy * g.stride - g.pad + ki;
-            if (iy < 0 || iy >= g.h) {
-              for (int64_t ox = 0; ox < ow; ++ox) crow[oy * ow + ox] = 0.0f;
-              continue;
-            }
-            const float* srow = plane + iy * g.w;
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              const int64_t ix = ox * g.stride - g.pad + kj;
-              crow[oy * ow + ox] = (ix >= 0 && ix < g.w) ? srow[ix] : 0.0f;
-            }
-          }
+// Default (scalar, seed-identical) convolution lowering; the pf::im2col /
+// pf::col2im wrappers keep the trace spans so per-op flop accounting is
+// backend-independent.
+void Backend::im2col(const float* img, const ConvGeom& g, int64_t nb,
+                     float* col) const {
+  const int64_t k = g.kernel;
+  const int64_t ld = nb * g.out_h() * g.out_w();
+  const int64_t plane = g.h * g.w, img_stride = g.c_in * plane;
+  // Column layout: row index = (c*k + ki)*k + kj, col index =
+  // s*spatial + oy*ow + ox for sample s of the chunk. The parallel split is
+  // over channels, i.e. blocks of k*k column rows; every row is written by
+  // exactly one chunk, so it is race-free and bit-identical to the serial
+  // walk.
+  const int64_t grain =
+      std::max<int64_t>(1, col_row_grain(ld) / std::max<int64_t>(1, k * k));
+  runtime::parallel_for(0, g.c_in, grain, [=](int64_t c0, int64_t c1) {
+    const TapGeom t = tap_geom(g, nb);
+    std::vector<float> buf(g.pad > 0 ? nb * t.ps : 0);  // borders stay zero
+    for (int64_t c = c0; c < c1; ++c) {
+      const float* planes = img + c * plane;
+      if (g.pad > 0) {
+        for (int64_t s = 0; s < nb; ++s) {
+          const float* src = planes + s * img_stride;
+          float* dst = buf.data() + s * t.ps + g.pad * t.ld + g.pad;
+          for (int64_t y = 0; y < g.h; ++y)
+            for (int64_t x = 0; x < g.w; ++x)
+              dst[y * t.ld + x] = src[y * g.w + x];
         }
-      });
+        planes = buf.data();
+      }
+      for (int64_t ki = 0; ki < k; ++ki)
+        for (int64_t kj = 0; kj < k; ++kj)
+          tap_rows(planes + ki * t.ld + kj, col + ((c * k + ki) * k + kj) * ld,
+                   t, [](const float& p, float& v) { v = p; });
+    }
+  });
 }
 
-void Backend::col2im(const float* col, const ConvGeom& g, float* img) const {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t spatial = oh * ow;
+void Backend::col2im(const float* col, const ConvGeom& g, int64_t nb,
+                     float* img) const {
+  const int64_t k = g.kernel;
+  const int64_t ld = nb * g.out_h() * g.out_w();
+  const int64_t plane = g.h * g.w, img_stride = g.c_in * plane;
   // Scatter-add: all (ki, kj) rows of one channel accumulate into the same
-  // image plane, so the parallel split is over channels only -- planes are
-  // disjoint and each keeps the serial accumulation order.
+  // image planes, so the parallel split is over channels only -- planes
+  // are disjoint and each keeps the serial accumulation order: per pixel,
+  // taps add in ascending (ki, kj), each at most once. With padding the
+  // sums build in zeroed bordered planes and are then added onto the
+  // (caller-zeroed) images, so every pixel is the same sum.
   runtime::parallel_for(0, g.c_in, 1, [=](int64_t c0, int64_t c1) {
+    const TapGeom t = tap_geom(g, nb);
+    std::vector<float> buf(g.pad > 0 ? nb * t.ps : 0);
     for (int64_t c = c0; c < c1; ++c) {
-      float* plane = img + c * g.h * g.w;
-      for (int64_t ki = 0; ki < g.kernel; ++ki) {
-        for (int64_t kj = 0; kj < g.kernel; ++kj) {
-          const float* crow =
-              col + ((c * g.kernel + ki) * g.kernel + kj) * spatial;
-          for (int64_t oy = 0; oy < oh; ++oy) {
-            const int64_t iy = oy * g.stride - g.pad + ki;
-            if (iy < 0 || iy >= g.h) continue;
-            float* srow = plane + iy * g.w;
-            for (int64_t ox = 0; ox < ow; ++ox) {
-              const int64_t ix = ox * g.stride - g.pad + kj;
-              if (ix >= 0 && ix < g.w) srow[ix] += crow[oy * ow + ox];
-            }
-          }
+      float* planes = img + c * plane;
+      if (g.pad > 0) {
+        std::fill(buf.begin(), buf.end(), 0.0f);
+        planes = buf.data();
+      }
+      for (int64_t ki = 0; ki < k; ++ki)
+        for (int64_t kj = 0; kj < k; ++kj)
+          tap_rows(planes + ki * t.ld + kj, col + ((c * k + ki) * k + kj) * ld,
+                   t, [](float& p, const float& v) { p += v; });
+      if (g.pad > 0) {
+        for (int64_t s = 0; s < nb; ++s) {
+          const float* src = buf.data() + s * t.ps + g.pad * t.ld + g.pad;
+          float* dst = img + c * plane + s * img_stride;
+          for (int64_t y = 0; y < g.h; ++y)
+            for (int64_t x = 0; x < g.w; ++x)
+              dst[y * g.w + x] += src[y * t.ld + x];
         }
       }
     }

@@ -61,11 +61,15 @@ class Backend {
   virtual void gemm_nt(const float* a, const float* b, float* c, int64_t m,
                        int64_t k, int64_t n) const = 0;
 
-  // Convolution lowering. The defaults are the seed scalar loops
-  // (kernels.cc); a backend may override with a vectorized copy. Layout and
-  // zero-padding semantics are fixed by tensor/im2col.h.
-  virtual void im2col(const float* img, const ConvGeom& g, float* col) const;
-  virtual void col2im(const float* col, const ConvGeom& g, float* img) const;
+  // Convolution lowering of `nb` consecutive images into / out of one
+  // (patch, nb*out_h*out_w) column matrix; the single-image lowering is
+  // nb = 1. The defaults (kernels.cc) are portable scalar copies; a backend
+  // may override with a vectorized copy. Layout and zero-padding semantics
+  // are fixed by tensor/im2col.h.
+  virtual void im2col(const float* img, const ConvGeom& g, int64_t nb,
+                      float* col) const;
+  virtual void col2im(const float* col, const ConvGeom& g, int64_t nb,
+                      float* img) const;
 
   // Quantized-weight GEMMs (the serving dequant-GEMM path; see qmat.h for
   // the layout contract). Defaults dequantize the quantized operand into

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/buffer_pool.h"
 #include "trace/trace.h"
@@ -131,14 +132,15 @@ Tensor qconv2d(const Tensor& x, const QuantizedMat& w, int64_t c_out,
   PF_TRACE_SCOPE_C("qconv", n * c_out * patch * spatial);
   const Backend& be = active();
   const QView wv = w.view();
-  Tensor out(Shape{n, c_out, oh, ow});  // zero-filled: gemm_qa_nn does +=
-  Tensor col = Tensor::uninit(Shape{patch, spatial});
-  float* colp = col.data();
+  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
   float* outp = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    be.im2col(x.data() + i * c_in * h * wd, g, colp);
-    be.gemm_qa_nn(wv, colp, outp + i * c_out * spatial, c_out, patch, spatial);
-  }
+  for_each_conv_chunk(
+      x.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
+        Tensor y(Shape{c_out, b * spatial});  // zero-filled: gemm_qa_nn +=
+        be.gemm_qa_nn(wv, col.data(), y.data(), c_out, patch, b * spatial);
+        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
+                      outp + i0 * c_out * spatial);
+      });
   return out;
 }
 
@@ -161,18 +163,18 @@ Tensor qlowrank_conv2d(const Tensor& x, const QuantizedMat& u,
   const Backend& be = active();
   const QView uv = u.view();
   const QView vv = v.view();
-  Tensor out(Shape{n, c_out, oh, ow});
-  Tensor col = Tensor::uninit(Shape{patch, spatial});
-  Tensor mid(Shape{r, spatial});
-  float* colp = col.data();
-  float* midp = mid.data();
+  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
   float* outp = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    be.im2col(x.data() + i * c_in * h * wd, g, colp);
-    std::fill(midp, midp + r * spatial, 0.0f);
-    be.gemm_qa_nn(uv, colp, midp, r, patch, spatial);
-    be.gemm_qa_nn(vv, midp, outp + i * c_out * spatial, c_out, r, spatial);
-  }
+  for_each_conv_chunk(
+      x.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
+        Tensor mid(Shape{r, b * spatial});  // zero-filled: gemm_qa_nn +=
+        Tensor y(Shape{c_out, b * spatial});
+        be.gemm_qa_nn(uv, col.data(), mid.data(), r, patch, b * spatial);
+        be.gemm_qa_nn(vv, std::as_const(mid).data(), y.data(), c_out, r,
+                      b * spatial);
+        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
+                      outp + i0 * c_out * spatial);
+      });
   return out;
 }
 

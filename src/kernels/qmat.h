@@ -90,13 +90,14 @@ Tensor qmatmul_nt(const Tensor& x, const QuantizedMat& w);
 Tensor qlowrank_matmul(const Tensor& x, const QuantizedMat& vt,
                        const QuantizedMat& u);
 
-// Dense conv with the weight quantized as (c_out, c_in*k*k): per-sample
-// im2col + gemm_qa_nn, mirroring ag::conv2d's eval loop.
+// Dense conv with the weight quantized as (c_out, c_in*k*k): chunked im2col
+// (tensor/im2col.h: for_each_conv_chunk) + one gemm_qa_nn per chunk,
+// mirroring ag::conv2d's forward.
 Tensor qconv2d(const Tensor& x, const QuantizedMat& w, int64_t c_out,
                int64_t kernel, int64_t stride, int64_t pad);
 
-// Fused low-rank conv: u quantized as (r, c_in*k*k), v as (c_out, r);
-// per-sample im2col, U @ col into a one-sample `mid`, then V @ mid.
+// Fused low-rank conv: u quantized as (r, c_in*k*k), v as (c_out, r); per
+// chunk of samples, im2col, U @ col into a chunk-wide `mid`, then V @ mid.
 Tensor qlowrank_conv2d(const Tensor& x, const QuantizedMat& u,
                        const QuantizedMat& v, int64_t kernel, int64_t stride,
                        int64_t pad);

@@ -111,8 +111,8 @@ ag::Var LowRankConv2d::forward(const ag::Var& x) {
         kernels::qlowrank_conv2d(x->value, *qu, *qv, kernel_, stride_, pad_));
   }
   // Tape-free forwards (eval, frozen serve) fuse the two convolutions per
-  // sample, skipping the full (N, r, oh, ow) intermediate and the 1x1
-  // im2col copy over it. Training keeps the two-node composition so the
+  // chunk of samples, skipping the full (N, r, oh, ow) intermediate and the
+  // 1x1 im2col copy over it. Training keeps the two-node composition so the
   // backward pass stays on the gradient-checked conv2d adjoints.
   if (!ag::grad_enabled())
     return ag::lowrank_conv2d(x, u, v, stride_, pad_);

@@ -14,12 +14,17 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "gradcheck.h"
+#include "kernels/qmat.h"
 #include "runtime/thread_pool.h"
+#include "tensor/im2col.h"
 #include "tensor/matmul.h"
 #include "tensor/rng.h"
 #include "trace/trace.h"
@@ -392,6 +397,212 @@ TEST(KernelsBmm, BatchedVariantsBitwiseOnScalar) {
                                 ref_matmul_nt(ai, bnti)));
       EXPECT_TRUE(bitwise_equal(ctn.narrow(i, 1).reshape(Shape{m, n}),
                                 ref_matmul_tn(atni, bi)));
+    }
+  }
+}
+
+// Rows [r0, r0 + rows) x columns [c0, c0 + cols) of a row-major 2-D
+// tensor, copied into a contiguous matrix.
+Tensor block(const Tensor& t, int64_t r0, int64_t rows, int64_t c0,
+             int64_t cols) {
+  Tensor out = Tensor::uninit(Shape{rows, cols});
+  const int64_t ld = t.size(1);
+  for (int64_t i = 0; i < rows; ++i)
+    for (int64_t j = 0; j < cols; ++j)
+      out.data()[i * cols + j] = t.data()[(r0 + i) * ld + c0 + j];
+  return out;
+}
+
+// An element of C must not depend on where its row and column land in the
+// GEMM: with k = 576 > KC the packed kernel runs two k blocks, and with a
+// non-zero C the first block starts from C. Each (row block, column block)
+// of A, B and C is multiplied on its own -- rows alone (m = 1), 7 rows
+// (a full 6-row tile plus a 1-row edge tile) and all 16; columns 4 wide
+// (an edge tile) and all 32 (two full tiles) -- and must equal the same
+// block of the 16 x 32 product bitwise. The shapes straddle the avx2
+// packed-path cutoff too, so the scalar panels must agree with the packed
+// tiles as well.
+TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
+  BackendGuard guard;
+  Rng rng(63);
+  const int64_t M = 16, K = 576, N = 32;
+  const Tensor a = rng.randn(Shape{M, K});
+  const Tensor at = rng.randn(Shape{K, M});  // gemm_tn's (k, m) operand
+  const Tensor b = rng.randn(Shape{K, N});
+  const Tensor c0 = rng.randn(Shape{M, N});
+  const kernels::QuantizedMat qa8 =
+      kernels::quantize_rows(a.data(), M, K, kernels::QMode::kInt8);
+  const kernels::QuantizedMat qa16 =
+      kernels::quantize_rows(a.data(), M, K, kernels::QMode::kBf16);
+
+  enum class Op { kNN, kTN, kQa8, kQa16 };
+  // C block (r0, m) x (j0, n) after the op over the matching operand blocks.
+  auto run = [&](Op op, int64_t r0, int64_t m, int64_t j0, int64_t n) {
+    Tensor c = block(c0, r0, m, j0, n);
+    const Tensor bb = block(b, 0, K, j0, n);
+    const kernels::Backend& be = kernels::active();
+    switch (op) {
+      case Op::kNN: {
+        const Tensor ab = block(a, r0, m, 0, K);
+        be.gemm_nn(ab.data(), bb.data(), c.data(), m, K, n);
+        break;
+      }
+      case Op::kTN: {
+        const Tensor ab = block(at, 0, K, r0, m);
+        be.gemm_tn(ab.data(), bb.data(), c.data(), m, K, n);
+        break;
+      }
+      case Op::kQa8:
+      case Op::kQa16: {
+        const kernels::QuantizedMat& q = op == Op::kQa8 ? qa8 : qa16;
+        kernels::QView v = q.view();
+        if (v.q) v.q += r0 * K;
+        if (v.b16) v.b16 += r0 * K;
+        if (v.scales) v.scales += r0;
+        be.gemm_qa_nn(v, bb.data(), c.data(), m, K, n);
+        break;
+      }
+    }
+    return c;
+  };
+
+  std::vector<std::pair<int64_t, int64_t>> rows = {{0, M}, {0, 7}, {9, 7}};
+  for (int64_t i = 0; i < M; ++i) rows.push_back({i, 1});
+  const std::pair<int64_t, int64_t> cols[] = {{0, N}, {0, 4}, {28, 4}};
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    for (Op op : {Op::kNN, Op::kTN, Op::kQa8, Op::kQa16}) {
+      const Tensor full = run(op, 0, M, 0, N);
+      for (const auto& [r0, m] : rows)
+        for (const auto& [j0, n] : cols)
+          EXPECT_TRUE(bitwise_equal(run(op, r0, m, j0, n),
+                                    block(full, r0, m, j0, n)))
+              << backend << " op " << static_cast<int>(op) << " rows ["
+              << r0 << ", " << r0 + m << ") cols [" << j0 << ", " << j0 + n
+              << ")";
+    }
+  }
+}
+
+// Conv shapes for the chunked-lowering tests. The first two leave a
+// remainder chunk (n is not a multiple of conv_chunk); outputs are 16x16
+// (256 columns per sample) and 2x2 (4 columns); patch 576 > KC = 384; and
+// per-sample GEMMs fall on both sides of the avx2 packed-path cutoff
+// (c_out * patch * spatial = 18,432 and 36,864 vs 32,768) while the chunk's
+// GEMM is packed.
+struct ConvChunkCase {
+  int64_t n, c_in, hw, k, stride, pad, c_out, r;
+};
+const ConvChunkCase kConvChunkCases[] = {
+    {11, 3, 16, 3, 1, 1, 8, 4},   // stem-like: nb 9, remainder 2
+    {30, 64, 2, 3, 1, 1, 8, 8},   // deep patch, 2x2 out: nb 28, remainder 2
+    {30, 64, 2, 3, 1, 1, 16, 8},  // same, per-sample GEMM above the cutoff
+    {5, 8, 8, 3, 2, 1, 12, 3},    // strided, one chunk
+    {7, 16, 4, 1, 1, 0, 24, 6},   // 1x1
+};
+
+ConvGeom geom(const ConvChunkCase& c) {
+  return ConvGeom{c.c_in, c.hw, c.hw, c.k, c.stride, c.pad};
+}
+
+// The forward of a batch equals the per-sample forwards stacked, bitwise,
+// for every conv path: the chunk a sample is lowered in must not change its
+// output bits (serving relies on it; serve/fleet.h).
+TEST(KernelsConvChunk, BatchForwardEqualsPerSampleForwards) {
+  BackendGuard guard;
+  ag::NoGradGuard ng;
+  Rng rng(64);
+  for (int i = 0; i < 2; ++i) {  // the remainder-chunk shapes
+    const ConvChunkCase& c = kConvChunkCases[i];
+    const int64_t nb = conv_chunk(geom(c), c.n);
+    ASSERT_GT(nb, 1);
+    ASSERT_NE(c.n % nb, 0);
+  }
+  for (const ConvChunkCase& c : kConvChunkCases) {
+    const Tensor x = rng.randn(Shape{c.n, c.c_in, c.hw, c.hw});
+    const Tensor w = rng.randn(Shape{c.c_out, c.c_in, c.k, c.k});
+    const Tensor u = rng.randn(Shape{c.r, c.c_in, c.k, c.k});
+    const Tensor v = rng.randn(Shape{c.c_out, c.r, 1, 1});
+    const int64_t patch = geom(c).patch();
+    std::vector<std::pair<const char*, std::function<Tensor(const Tensor&)>>>
+        paths = {
+            {"conv2d",
+             [&](const Tensor& xi) {
+               return ag::conv2d(ag::leaf(xi), ag::leaf(w), c.stride, c.pad)
+                   ->value;
+             }},
+            {"lowrank_conv2d",
+             [&](const Tensor& xi) {
+               return ag::lowrank_conv2d(ag::leaf(xi), ag::leaf(u),
+                                         ag::leaf(v), c.stride, c.pad)
+                   ->value;
+             }},
+        };
+    for (kernels::QMode mode : {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
+      auto qw = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_rows(w.data(), c.c_out, patch, mode));
+      auto qu = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_rows(u.data(), c.r, patch, mode));
+      auto qv = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_rows(v.data(), c.c_out, c.r, mode));
+      paths.push_back({"qconv2d", [=](const Tensor& xi) {
+                         return kernels::qconv2d(xi, *qw, c.c_out, c.k,
+                                                 c.stride, c.pad);
+                       }});
+      paths.push_back({"qlowrank_conv2d", [=](const Tensor& xi) {
+                         return kernels::qlowrank_conv2d(xi, *qu, *qv, c.k,
+                                                         c.stride, c.pad);
+                       }});
+    }
+    for (const char* backend : {"scalar", "avx2"}) {
+      if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+      for (const auto& [name, fwd] : paths) {
+        const Tensor batch = fwd(x);
+        for (int64_t i = 0; i < c.n; ++i)
+          EXPECT_TRUE(bitwise_equal(batch.narrow(i, 1), fwd(x.narrow(i, 1))))
+              << backend << " " << name << " n" << c.n << " c_in" << c.c_in
+              << " hw" << c.hw << " c_out" << c.c_out << " sample " << i;
+      }
+    }
+  }
+}
+
+// conv2d's chunked backward: dX and dW match finite differences on a shape
+// that lowers in two chunks (2 + 1 samples), and both are bitwise equal at
+// 1 and 4 threads on every chunked shape.
+TEST(KernelsConvChunk, BackwardGradcheckAndThreadInvariance) {
+  BackendGuard guard;
+  ASSERT_TRUE(kernels::set_backend("scalar"));
+  Rng rng(65);
+  {
+    const ConvGeom g{1, 32, 32, 5, 1, 1};
+    ASSERT_EQ(conv_chunk(g, 3), 2);
+    const Tensor r = rng.randn(Shape{3, 2, g.out_h(), g.out_w()});
+    testing::gradcheck(
+        [&](const std::vector<ag::Var>& in) {
+          return ag::sum_all(
+              ag::mul(ag::conv2d(in[0], in[1], 1, 1), ag::leaf(r)));
+        },
+        {rng.randn(Shape{3, 1, 32, 32}), rng.randn(Shape{2, 1, 5, 5})});
+  }
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    for (const ConvChunkCase& c : kConvChunkCases) {
+      const Tensor x = rng.randn(Shape{c.n, c.c_in, c.hw, c.hw});
+      const Tensor w = rng.randn(Shape{c.c_out, c.c_in, c.k, c.k});
+      const ConvGeom g = geom(c);
+      const Tensor dy = rng.randn(Shape{c.n, c.c_out, g.out_h(), g.out_w()});
+      auto grads = [&](int threads) {
+        runtime::set_threads(threads);
+        ag::Var xl = ag::leaf(x, true);
+        ag::Var wl = ag::leaf(w, true);
+        ag::backward(ag::conv2d(xl, wl, c.stride, c.pad), dy);
+        return std::make_pair(xl->grad, wl->grad);
+      };
+      const auto [dx1, dw1] = grads(1);
+      const auto [dx4, dw4] = grads(4);
+      EXPECT_TRUE(bitwise_equal(dx1, dx4)) << backend << " dX n" << c.n;
+      EXPECT_TRUE(bitwise_equal(dw1, dw4)) << backend << " dW n" << c.n;
     }
   }
 }

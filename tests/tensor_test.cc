@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "tensor/rng.h"
 
@@ -257,6 +258,18 @@ TEST(Tensor, ShapeHelpers) {
 struct BroadcastCase {
   Shape a, b;
 };
+
+// Prints the case as its shapes (e.g. "2x3+3"). Without it gtest prints the
+// raw bytes of the two vectors -- heap addresses -- and the discovered ctest
+// names change from build to build.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  auto dims = [os](const Shape& s) {
+    for (size_t i = 0; i < s.size(); ++i) *os << (i ? "x" : "") << s[i];
+  };
+  dims(c.a);
+  *os << '+';
+  dims(c.b);
+}
 
 class BroadcastP : public ::testing::TestWithParam<BroadcastCase> {};
 
