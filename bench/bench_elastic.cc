@@ -231,8 +231,14 @@ void hetero_table(const pf::data::SyntheticImages& ds, const ElasticKnobs& k,
         static_cast<double>(k.train), degraded, false, 0.0);
     std::printf("%-8d %14.4g %14.4g %8.3f\n", workers, nominal, slow,
                 slow / nominal);
-    if (want_json)
-      report.kv("p" + std::to_string(workers) + ".ratio", slow / nominal);
+    if (want_json) {
+      // Appended piecewise: GCC 12 misreports `"p" + std::string&&` under
+      // -Wrestrict once inlined into main.
+      std::string key = "p";
+      key += std::to_string(workers);
+      key += ".ratio";
+      report.kv(key, slow / nominal);
+    }
   }
 }
 

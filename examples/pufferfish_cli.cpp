@@ -1,10 +1,10 @@
 // pufferfish_cli: a small command-line front end over the library, the way
 // a downstream user would actually drive it.
 //
-//   pufferfish_cli train  --model resnet18 --rank-ratio 0.25 \
-//                         --epochs 8 --warmup 2 --width 0.125 \
+//   pufferfish_cli train  --model resnet18 --rank-ratio 0.25
+//                         --epochs 8 --warmup 2 --width 0.125
 //                         --checkpoint out.ckpt
-//   pufferfish_cli eval   --model resnet18 --width 0.125 \
+//   pufferfish_cli eval   --model resnet18 --width 0.125
 //                         --rank-ratio 0.25 --checkpoint out.ckpt
 //   pufferfish_cli inspect --model vgg19          (params/MACs, paper scale)
 //   pufferfish_cli plan   --model resnet18 --floor 0.96 --profile 10g

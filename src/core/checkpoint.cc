@@ -2,11 +2,10 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
-#include "fault/fault.h"
+#include "io/artifact.h"
 #include "nn/serialize.h"
 #include "trace/trace.h"
 
@@ -14,84 +13,46 @@ namespace pf::core {
 
 namespace {
 
-// On-disk magics for TrainState files: v1 ("PUFFTST1", 3-word policy, no
-// layer_ranks / reducer state) is read-only legacy; v2 ("PUFFTST2") is
-// what save_train_state writes.
-constexpr uint64_t kTrainStateMagicV1 = 0x5055464654535431ull;
+constexpr uint64_t kTrainStateMagicV1 = 0x5055464654535431ull;  // read only
 constexpr uint64_t kTrainStateMagicV2 = 0x5055464654535432ull;
 
-void put_u64(std::vector<char>& buf, uint64_t v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
+void put(io::ByteWriter& w, int64_t v) { w.u64(static_cast<uint64_t>(v)); }
+void put(io::ByteWriter& w, const Tensor& t) { w.tensor(t); }
+void put(io::ByteWriter& w, const Rng::State& st) {
+  for (uint64_t x : st.s) w.u64(x);
+  w.u64(st.has_cached ? 1 : 0);
+  w.f64(st.cached);
+}
+template <class T>
+void put(io::ByteWriter& w, const std::vector<T>& v) {
+  w.u64(v.size());
+  for (const T& x : v) put(w, x);
 }
 
-void put_f64(std::vector<char>& buf, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(buf, bits);
+void get(io::ByteReader& r, int64_t& v) { v = static_cast<int64_t>(r.u64()); }
+void get(io::ByteReader& r, Tensor& t) { t = r.tensor(); }
+void get(io::ByteReader& r, Rng::State& st) {
+  for (uint64_t& x : st.s) x = r.u64();
+  st.has_cached = r.flag();
+  st.cached = r.f64();
 }
-
-void put_rng(std::vector<char>& buf, const Rng::State& st) {
-  for (uint64_t w : st.s) put_u64(buf, w);
-  put_u64(buf, st.has_cached ? 1 : 0);
-  put_f64(buf, st.cached);
-}
-
-struct Reader {
-  const char* p;
-  size_t left;
-  uint64_t u64() {
-    if (left < sizeof(uint64_t))
-      throw std::runtime_error("train state: truncated payload");
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    left -= sizeof(v);
-    return v;
-  }
-  double f64() {
-    const uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Rng::State rng() {
-    Rng::State st;
-    for (uint64_t& w : st.s) w = u64();
-    st.has_cached = u64() != 0;
-    st.cached = f64();
-    return st;
-  }
-  void floats(float* dst, size_t n) {
-    const size_t bytes = n * sizeof(float);
-    if (left < bytes)
-      throw std::runtime_error("train state: truncated tensor data");
-    std::memcpy(dst, p, bytes);
-    p += bytes;
-    left -= bytes;
-  }
-};
-
-void hash_tensors(nn::Module& m, uint64_t& h) {
-  auto mix = [&h](const Tensor& t) {
-    // Chain FNV over each tensor's bytes; seeding with the running hash
-    // keeps tensor boundaries significant.
-    const char* p = reinterpret_cast<const char*>(
-        std::as_const(t).data());
-    const size_t n = static_cast<size_t>(t.numel()) * sizeof(float);
-    h ^= nn::fnv1a(p, n);
-    h *= 0x100000001B3ull;
-  };
-  for (nn::Param& p : m.local_params()) mix(p.var->value);
-  for (nn::Buffer& b : m.local_buffers()) mix(b.value);
-  for (nn::Module* c : m.children()) hash_tensors(*c, h);
+// Every element takes at least one u64 word, which bounds the count.
+template <class T>
+void get(io::ByteReader& r, std::vector<T>& v) {
+  v.resize(r.count(sizeof(uint64_t)));
+  for (T& x : v) get(r, x);
 }
 
 }  // namespace
 
 uint64_t hash_model(nn::Module& model) {
+  // FNV-1a of each tensor's bytes, chained so tensor boundaries count.
   uint64_t h = 0xCBF29CE484222325ull;
-  hash_tensors(model, h);
+  for (const Tensor* t : nn::checkpoint_tensors(model)) {
+    h ^= io::fnv1a(reinterpret_cast<const char*>(t->data()),
+                   static_cast<size_t>(t->numel()) * sizeof(float));
+    h *= 0x100000001B3ull;
+  }
   return h;
 }
 
@@ -125,95 +86,37 @@ void restore_optimizer(optim::Optimizer& opt, const TrainState& st) {
   opt.set_state_scalars(st.opt_scalars);
 }
 
-namespace {
-
-void put_tensor(std::vector<char>& payload, const Tensor& t) {
-  put_u64(payload, static_cast<uint64_t>(t.dim()));
-  for (int64_t d = 0; d < t.dim(); ++d)
-    put_u64(payload, static_cast<uint64_t>(t.size(d)));
-  const char* data = reinterpret_cast<const char*>(std::as_const(t).data());
-  payload.insert(payload.end(), data,
-                 data + static_cast<size_t>(t.numel()) * sizeof(float));
-}
-
-Tensor read_tensor(Reader& r) {
-  const uint64_t dim = r.u64();
-  Shape shape(dim);
-  for (uint64_t d = 0; d < dim; ++d)
-    shape[d] = static_cast<int64_t>(r.u64());
-  Tensor t = Tensor::uninit(std::move(shape));
-  r.floats(t.data(), static_cast<size_t>(t.numel()));
-  return t;
-}
-
-}  // namespace
-
 void save_train_state(const TrainState& st, const std::string& path) {
-  std::vector<char> payload;
-  put_u64(payload, static_cast<uint64_t>(st.next_epoch));
-  put_u64(payload, static_cast<uint64_t>(st.global_step));
-  put_u64(payload, st.low_rank_phase ? 1 : 0);
-  put_f64(payload, st.svd_seconds);
-  put_f64(payload, st.cumulative_seconds);
-  for (uint64_t w : st.policy) put_u64(payload, w);
-  put_u64(payload, st.model_hash);
-  put_rng(payload, st.rng);
-  put_u64(payload, st.worker_rngs.size());
-  for (const Rng::State& r : st.worker_rngs) put_rng(payload, r);
-  put_u64(payload, st.opt_scalars.size());
-  for (int64_t s : st.opt_scalars) put_u64(payload, static_cast<uint64_t>(s));
-  put_u64(payload, st.opt_tensors.size());
-  for (const Tensor& t : st.opt_tensors) put_tensor(payload, t);
+  io::ByteWriter w;
+  w.u64(static_cast<uint64_t>(st.next_epoch));
+  w.u64(static_cast<uint64_t>(st.global_step));
+  w.u64(st.low_rank_phase ? 1 : 0);
+  w.f64(st.svd_seconds);
+  w.f64(st.cumulative_seconds);
+  for (uint64_t x : st.policy) w.u64(x);
+  w.u64(st.model_hash);
+  put(w, st.rng);
+  put(w, st.worker_rngs);
+  put(w, st.opt_scalars);
+  put(w, st.opt_tensors);
   // v2 tail: moving per-layer ranks + stateful-reducer buffers.
-  put_u64(payload, st.layer_ranks.size());
-  for (int64_t r : st.layer_ranks) put_u64(payload, static_cast<uint64_t>(r));
-  put_u64(payload, st.reducer.scalars.size());
-  for (int64_t s : st.reducer.scalars)
-    put_u64(payload, static_cast<uint64_t>(s));
-  put_u64(payload, st.reducer.tensors.size());
-  for (const Tensor& t : st.reducer.tensors) put_tensor(payload, t);
-
-  nn::atomic_write(path, [&](std::ofstream& os) {
-    auto write_u64 = [&os](uint64_t v) {
-      fault::on_write_bytes(sizeof(v));
-      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    write_u64(kTrainStateMagicV2);
-    write_u64(nn::fnv1a(payload.data(), payload.size()));
-    write_u64(payload.size());
-    fault::on_write_bytes(static_cast<int64_t>(payload.size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  });
+  put(w, st.layer_ranks);
+  put(w, st.reducer.scalars);
+  put(w, st.reducer.tensors);
+  io::write_envelope(path, kTrainStateMagicV2, {}, w.data());
 }
 
 TrainState load_train_state(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("train state: cannot open " + path);
-  auto read_u64 = [&is, &path]() {
-    uint64_t v = 0;
-    is.read(reinterpret_cast<char*>(&v), sizeof(v));
-    if (!is) throw std::runtime_error("train state: truncated file " + path);
-    return v;
-  };
-  const uint64_t magic = read_u64();
-  if (magic != kTrainStateMagicV1 && magic != kTrainStateMagicV2)
-    throw std::runtime_error("train state: bad magic in " + path);
-  const bool v1 = magic == kTrainStateMagicV1;
-  const uint64_t checksum = read_u64();
-  const uint64_t payload_bytes = read_u64();
-  std::vector<char> payload(payload_bytes);
-  is.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!is || static_cast<uint64_t>(is.gcount()) != payload_bytes)
-    throw std::runtime_error("train state: truncated payload in " + path);
-  if (nn::fnv1a(payload.data(), payload.size()) != checksum)
-    throw std::runtime_error("train state: checksum mismatch in " + path +
-                             " (corrupt or truncated snapshot)");
-
-  Reader r{payload.data(), payload.size()};
+  const std::string what = "train state " + path;
+  const std::vector<char> file = io::read_file(path, what);
+  io::Envelope env = io::read_envelope(
+      file, {kTrainStateMagicV1, kTrainStateMagicV2}, {}, what);
+  io::ByteReader& r = env.payload;
+  const bool v1 = env.magic == kTrainStateMagicV1;
   TrainState st;
   st.next_epoch = static_cast<int64_t>(r.u64());
   st.global_step = static_cast<int64_t>(r.u64());
-  st.low_rank_phase = r.u64() != 0;
+  st.low_rank_phase = r.flag();
   st.svd_seconds = r.f64();
   st.cumulative_seconds = r.f64();
   // v1 wrote 3 policy words; the 4-word layouts of the legacy kinds are
@@ -222,37 +125,19 @@ TrainState load_train_state(const std::string& path) {
   const size_t n_policy_words = v1 ? 3 : 4;
   for (size_t i = 0; i < n_policy_words; ++i) st.policy[i] = r.u64();
   if (v1 && st.policy[0] >= 2)
-    throw std::runtime_error(
-        "train state: v1 snapshot " + path + " carries policy kind word " +
-        std::to_string(st.policy[0]) +
-        ", which no v1 writer could produce (corrupt file)");
+    r.fail("v1 snapshot with policy kind word " +
+           std::to_string(st.policy[0]) + ", which no v1 writer produced");
   st.model_hash = r.u64();
-  st.rng = r.rng();
-  const uint64_t n_workers = r.u64();
-  st.worker_rngs.reserve(n_workers);
-  for (uint64_t i = 0; i < n_workers; ++i) st.worker_rngs.push_back(r.rng());
-  const uint64_t n_scalars = r.u64();
-  st.opt_scalars.reserve(n_scalars);
-  for (uint64_t i = 0; i < n_scalars; ++i)
-    st.opt_scalars.push_back(static_cast<int64_t>(r.u64()));
-  const uint64_t n_tensors = r.u64();
-  st.opt_tensors.reserve(n_tensors);
-  for (uint64_t i = 0; i < n_tensors; ++i)
-    st.opt_tensors.push_back(read_tensor(r));
+  get(r, st.rng);
+  get(r, st.worker_rngs);
+  get(r, st.opt_scalars);
+  get(r, st.opt_tensors);
   if (!v1) {
-    const uint64_t n_ranks = r.u64();
-    st.layer_ranks.reserve(n_ranks);
-    for (uint64_t i = 0; i < n_ranks; ++i)
-      st.layer_ranks.push_back(static_cast<int64_t>(r.u64()));
-    const uint64_t n_red_scalars = r.u64();
-    st.reducer.scalars.reserve(n_red_scalars);
-    for (uint64_t i = 0; i < n_red_scalars; ++i)
-      st.reducer.scalars.push_back(static_cast<int64_t>(r.u64()));
-    const uint64_t n_red_tensors = r.u64();
-    st.reducer.tensors.reserve(n_red_tensors);
-    for (uint64_t i = 0; i < n_red_tensors; ++i)
-      st.reducer.tensors.push_back(read_tensor(r));
+    get(r, st.layer_ranks);
+    get(r, st.reducer.scalars);
+    get(r, st.reducer.tensors);
   }
+  r.expect_end();
   return st;
 }
 

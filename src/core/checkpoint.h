@@ -1,24 +1,14 @@
 // Full training-state snapshots: everything beyond the weights that a
 // resumed run needs to continue bitwise-identically to an uninterrupted one.
+// A run is deterministic given (seed, config), so a snapshot at an epoch
+// boundary only captures the state that evolves across it (fields below).
 //
-// A Pufferfish run is deterministic given (seed, config): data order is a
-// pure function of the epoch index, kernels are bitwise-reproducible at any
-// PF_THREADS, and all randomness flows through Rng. So a snapshot taken at
-// an epoch boundary only needs to capture the state that *evolves* across
-// the boundary:
-//
-//   * schedule position (next epoch, global step),
-//   * the factorization phase (vanilla pre-SVD vs hybrid post-SVD) plus the
-//     encoded rank policy, so resuming under a different policy fails
-//     loudly instead of fine-tuning the wrong hybrid,
-//   * optimizer slot buffers (SGD velocity / Adam moments + step count),
-//   * the exact Rng stream state(s) -- including the cached Box-Muller pair
-//     -- so the warm-up -> SVD switch draws the same randomness whether or
-//     not the run was interrupted.
-//
-// Snapshots are written with the same guarantees as weight checkpoints:
-// FNV-1a checksummed payload, temp-file + rename (nn/serialize's
-// atomic_write), so a crash mid-snapshot never destroys the previous one.
+// Payload (framing: io/artifact.h): next_epoch | global_step |
+// low_rank_phase | svd_seconds | cumulative_seconds | policy words (3 in v1,
+// 4 in v2) | model_hash | rng | worker rngs | optimizer scalars | optimizer
+// tensors, then in v2 ("PUFFTST2") layer_ranks | reducer scalars | reducer
+// tensors. A list is a u64 count and its elements; an rng is its 4 state
+// words, the has_cached flag and the cached double.
 #pragma once
 
 #include <string>
@@ -74,12 +64,10 @@ uint64_t hash_model(nn::Module& model);
 void capture_optimizer(optim::Optimizer& opt, TrainState& st);
 void restore_optimizer(optim::Optimizer& opt, const TrainState& st);
 
-// Atomic, checksummed TrainState file. Writes the v2 format ("PUFFTST2":
-// 4-word policy + layer_ranks + reducer state); load also accepts v1
-// files ("PUFFTST1", written by older builds) by zero-extending the
-// 3-word policy -- but rejects a v1 file whose policy kind word claims an
-// adaptive kind, which a v1 writer could never have produced. load throws
-// on I/O failure, bad magic, truncation, or checksum mismatch.
+// Atomic, checksummed TrainState file in the v2 format. load also accepts
+// v1 files by zero-extending the 3-word policy, but rejects one whose
+// policy kind word claims an adaptive kind, which no v1 writer produced.
+// load throws std::runtime_error on any I/O failure or corruption.
 void save_train_state(const TrainState& st, const std::string& path);
 TrainState load_train_state(const std::string& path);
 

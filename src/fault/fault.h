@@ -13,7 +13,7 @@
 //    with a seeded per-(id, attempt) coin, and tests replay the same faults
 //    on every run at any PF_THREADS.
 //  * ScopedWriteCrash -- arms a process-wide byte budget on checkpoint
-//    writes; nn/serialize throws InjectedCrash once the budget is exhausted,
+//    writes; io/artifact throws InjectedCrash once the budget is exhausted,
 //    simulating kill -9 mid-write (the crash that used to corrupt the only
 //    checkpoint in place before the temp-file + rename protocol).
 //  * FaultStats -- process-wide injected/recovered counters, re-exported
@@ -116,7 +116,7 @@ class Plan {
 // waits base_ms. Pure function -- retry schedules are reproducible.
 double backoff_ms(int attempt, double base_ms = 0.1, double cap_ms = 5.0);
 
-// ---- Injected checkpoint-write crashes (see nn/serialize.cc). ----
+// ---- Injected checkpoint-write crashes (see io/artifact.cc). ----
 
 // While an instance is alive, checkpoint writes throw InjectedCrash once
 // `crash_after_bytes` have been written (process-wide; not nestable --
@@ -129,7 +129,7 @@ class ScopedWriteCrash {
   ScopedWriteCrash& operator=(const ScopedWriteCrash&) = delete;
 };
 
-// Called by serialize before writing `n` bytes; throws InjectedCrash when an
+// Called by io/artifact before writing `n` bytes; throws InjectedCrash when an
 // armed budget runs out. No-op (one relaxed load) when disarmed.
 void on_write_bytes(int64_t n);
 

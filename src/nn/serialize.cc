@@ -1,216 +1,72 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
-
-#include "fault/fault.h"
 
 namespace pf::nn {
 
 namespace {
 
-// Collect parameter and buffer tensors depth-first, params first per module
-// (the same order the module tree exposes them).
-void collect(Module& m, std::vector<Tensor*>& out) {
-  for (Param& p : m.local_params()) out.push_back(&p.var->value);
-  for (Buffer& b : m.local_buffers()) out.push_back(&b.value);
-  for (Module* c : m.children()) collect(*c, out);
-}
-
-// Every checkpoint byte goes through here: the fault hook lets tests crash
-// a write at an exact byte offset (simulated kill -9), which is what the
-// temp-file + rename protocol below must survive.
-void write_bytes(std::ofstream& os, const char* p, size_t n) {
-  fault::on_write_bytes(static_cast<int64_t>(n));
-  os.write(p, static_cast<std::streamsize>(n));
-}
-
-void write_u64(std::ofstream& os, uint64_t v) {
-  write_bytes(os, reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-uint64_t read_u64(std::ifstream& is) {
-  uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: unexpected end of file");
-  return v;
-}
-
-// Append helpers for the in-memory v1 payload.
-void put_u64(std::vector<char>& buf, uint64_t v) {
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
-}
-
-// Cursor-based reads over the verified payload buffer.
-struct PayloadReader {
-  const char* p;
-  size_t left;
-  uint64_t u64() {
-    if (left < sizeof(uint64_t))
-      throw std::runtime_error("checkpoint: truncated payload");
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    left -= sizeof(v);
-    return v;
+// Validates the whole payload against `tensors` before copying anything, so
+// a load that throws leaves the module untouched.
+void decode(io::ByteReader& r, const std::vector<Tensor*>& tensors) {
+  const uint64_t count = r.u64();
+  if (count != tensors.size())
+    r.fail("tensor count mismatch (file " + std::to_string(count) +
+           ", model " + std::to_string(tensors.size()) + ")");
+  std::vector<const char*> data;
+  data.reserve(tensors.size());
+  for (Tensor* t : tensors) {
+    const Shape shape = r.shape();
+    if (shape != t->shape())
+      r.fail("shape mismatch: file " + shape_str(shape) + " vs model " +
+             shape_str(t->shape()));
+    data.push_back(r.bytes(static_cast<size_t>(t->numel()) * sizeof(float)));
   }
-  void floats(float* dst, size_t n) {
-    const size_t bytes = n * sizeof(float);
-    if (left < bytes)
-      throw std::runtime_error("checkpoint: truncated tensor data");
-    std::memcpy(dst, p, bytes);
-    p += bytes;
-    left -= bytes;
-  }
-};
-
-// Shared by the v0 stream path and the v1 payload path.
-void check_count(uint64_t count, size_t model_count) {
-  if (count != model_count)
-    throw std::runtime_error(
-        "checkpoint: tensor count mismatch (file " + std::to_string(count) +
-        ", model " + std::to_string(model_count) + ")");
-}
-
-void check_shape(const Shape& file_shape, const Tensor& t) {
-  if (file_shape != t.shape())
-    throw std::runtime_error("checkpoint: shape mismatch: file " +
-                             shape_str(file_shape) + " vs model " +
-                             shape_str(t.shape()));
+  r.expect_end();
+  for (size_t i = 0; i < tensors.size(); ++i)
+    if (tensors[i]->numel())
+      std::memcpy(tensors[i]->data(), data[i],
+                  static_cast<size_t>(tensors[i]->numel()) * sizeof(float));
 }
 
 }  // namespace
 
-uint64_t fnv1a(const char* p, size_t n) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(p[i]);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-void atomic_write(const std::string& path,
-                  const std::function<void(std::ofstream&)>& fill) {
-  // Crash safety: write the whole file to `<path>.tmp`, then rename over the
-  // target. rename(2) replaces atomically on POSIX, so at every instant
-  // `path` holds either the complete previous file or the complete new one
-  // -- a kill -9 mid-write can only ever orphan a temp file. (Writing the
-  // target in place was the bug: a crash left a truncated checkpoint at the
-  // only path.)
-  const std::string tmp = path + ".tmp";
-  try {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("checkpoint: cannot open " + tmp);
-    fill(os);
-    os.flush();
-    if (!os) throw std::runtime_error("checkpoint: write failed: " + tmp);
-  } catch (...) {
-    std::remove(tmp.c_str());  // never leave half-written temp files behind
-    throw;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: rename to " + path + " failed");
-  }
+std::vector<Tensor*> checkpoint_tensors(Module& module) {
+  std::vector<Tensor*> out;
+  for (Param& p : module.local_params()) out.push_back(&p.var->value);
+  for (Buffer& b : module.local_buffers()) out.push_back(&b.value);
+  for (Module* c : module.children())
+    for (Tensor* t : checkpoint_tensors(*c)) out.push_back(t);
+  return out;
 }
 
 void save_checkpoint(Module& module, const std::string& path, int version) {
   if (version != 0 && version != 1)
     throw std::runtime_error("checkpoint: unknown format version " +
                              std::to_string(version));
-  std::vector<Tensor*> tensors;
-  collect(module, tensors);
-
-  atomic_write(path, [&](std::ofstream& os) {
-    if (version == 0) {
-      // Legacy layout, kept so older tooling can still be fed.
-      write_u64(os, kCheckpointMagicV0);
-      write_u64(os, tensors.size());
-      for (Tensor* t : tensors) {
-        write_u64(os, static_cast<uint64_t>(t->dim()));
-        for (int64_t d = 0; d < t->dim(); ++d)
-          write_u64(os, static_cast<uint64_t>(t->size(d)));
-        write_bytes(os, reinterpret_cast<const char*>(t->data()),
-                    static_cast<size_t>(t->numel()) * sizeof(float));
-      }
-    } else {
-      // v1: build the payload in memory so it can be checksummed as one blob.
-      std::vector<char> payload;
-      put_u64(payload, tensors.size());
-      for (Tensor* t : tensors) {
-        put_u64(payload, static_cast<uint64_t>(t->dim()));
-        for (int64_t d = 0; d < t->dim(); ++d)
-          put_u64(payload, static_cast<uint64_t>(t->size(d)));
-        const char* data = reinterpret_cast<const char*>(t->data());
-        payload.insert(payload.end(), data,
-                       data + t->numel() * sizeof(float));
-      }
-      write_u64(os, kCheckpointMagicV1);
-      const char ver = static_cast<char>(kCheckpointVersion);
-      write_bytes(os, &ver, 1);
-      write_u64(os, fnv1a(payload.data(), payload.size()));
-      write_u64(os, payload.size());
-      write_bytes(os, payload.data(), payload.size());
-    }
-  });
+  const std::vector<Tensor*> tensors = checkpoint_tensors(module);
+  io::ByteWriter w;
+  if (version == 0) w.u64(kCheckpointMagicV0);
+  w.u64(tensors.size());
+  for (Tensor* t : tensors) w.tensor(*t);
+  if (version == 0)
+    io::write_file(path, w.data());
+  else
+    io::write_envelope(path, kCheckpointMagicV1, {kCheckpointVersion},
+                       w.data());
 }
 
 void load_checkpoint(Module& module, const std::string& path) {
-  std::vector<Tensor*> tensors;
-  collect(module, tensors);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
-
-  const uint64_t magic = read_u64(is);
-  if (magic == kCheckpointMagicV0) {
-    // Legacy unchecksummed stream.
-    check_count(read_u64(is), tensors.size());
-    for (Tensor* t : tensors) {
-      const uint64_t dim = read_u64(is);
-      Shape shape(dim);
-      for (uint64_t d = 0; d < dim; ++d)
-        shape[d] = static_cast<int64_t>(read_u64(is));
-      check_shape(shape, *t);
-      is.read(reinterpret_cast<char*>(t->data()),
-              static_cast<std::streamsize>(t->numel() * sizeof(float)));
-      if (!is) throw std::runtime_error("checkpoint: truncated tensor data");
-    }
-    return;
-  }
-  if (magic != kCheckpointMagicV1)
-    throw std::runtime_error("checkpoint: bad magic in " + path);
-
-  char ver = 0;
-  is.read(&ver, 1);
-  if (!is || static_cast<uint8_t>(ver) != kCheckpointVersion)
-    throw std::runtime_error("checkpoint: unsupported format version in " +
-                             path);
-  const uint64_t checksum = read_u64(is);
-  const uint64_t payload_bytes = read_u64(is);
-  std::vector<char> payload(payload_bytes);
-  is.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!is || static_cast<uint64_t>(is.gcount()) != payload_bytes)
-    throw std::runtime_error("checkpoint: truncated payload in " + path);
-  if (fnv1a(payload.data(), payload.size()) != checksum)
-    throw std::runtime_error("checkpoint: checksum mismatch in " + path +
-                             " (corrupt or truncated artifact)");
-
-  PayloadReader r{payload.data(), payload.size()};
-  check_count(r.u64(), tensors.size());
-  for (Tensor* t : tensors) {
-    const uint64_t dim = r.u64();
-    Shape shape(dim);
-    for (uint64_t d = 0; d < dim; ++d)
-      shape[d] = static_cast<int64_t>(r.u64());
-    check_shape(shape, *t);
-    r.floats(t->data(), static_cast<size_t>(t->numel()));
-  }
+  const std::vector<Tensor*> tensors = checkpoint_tensors(module);
+  const std::string what = "checkpoint " + path;
+  const std::vector<char> file = io::read_file(path, what);
+  io::ByteReader legacy(file.data(), file.size(), what);
+  if (legacy.u64() == kCheckpointMagicV0) return decode(legacy, tensors);
+  io::Envelope env =
+      io::read_envelope(file, {kCheckpointMagicV1}, {kCheckpointVersion}, what);
+  decode(env.payload, tensors);
 }
 
 }  // namespace pf::nn

@@ -1,28 +1,20 @@
-// Checkpointing: save/load all parameters and buffers of a module tree to a
-// simple binary format. The format stores per-tensor shapes so mismatched
-// architectures fail loudly instead of loading garbage -- the usual failure
-// mode when checkpointing a vanilla model and loading it into a hybrid.
+// Weight checkpoints: every parameter and buffer of a module tree, with
+// per-tensor shapes so mismatched architectures fail loudly instead of
+// loading garbage -- the usual failure mode when checkpointing a vanilla
+// model and loading it into a hybrid.
 //
-// Two on-disk versions exist:
-//   v0 ("PUFFCKP1"): magic | count | tensors          (legacy, still read)
-//   v1 ("PUFFCKP2"): magic | version byte | payload checksum (FNV-1a) |
-//                    payload bytes | payload(count | tensors)
-// v1 is what save_checkpoint writes by default; the checksum makes
-// truncated or bit-flipped artifacts fail loudly at load time instead of
-// silently serving garbage weights (serving artifacts are copied between
-// machines far more often than training checkpoints).
-//
-// Crash safety: every write goes to `<path>.tmp` first and is renamed over
-// the target only once complete (atomic on POSIX), so a crash -- real or
-// injected via fault::ScopedWriteCrash -- mid-write never destroys the
-// previous good file at `path`.
+// Payload: count u64 | per tensor (checkpoint_tensors order):
+//   rank u64 | dims u64... | float data
+//   v1 ("PUFFCKP2", what save_checkpoint writes): the payload in
+//     io/artifact.h's checksummed envelope, header byte {1}.
+//   v0 ("PUFFCKP1"): magic | payload, unframed (legacy, still read).
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <functional>
 #include <string>
+#include <vector>
 
+#include "io/artifact.h"
 #include "nn/module.h"
 
 namespace pf::nn {
@@ -32,28 +24,24 @@ inline constexpr uint64_t kCheckpointMagicV0 = 0x50554646434B5031ull;
 inline constexpr uint64_t kCheckpointMagicV1 = 0x50554646434B5032ull;
 inline constexpr uint8_t kCheckpointVersion = 1;
 
-// Writes every parameter and buffer (depth-first order) to `path`.
+// Every parameter and buffer, depth-first with params before buffers per
+// module: the order checkpoints store them in.
+std::vector<Tensor*> checkpoint_tensors(Module& module);
+
+// Writes every parameter and buffer (checkpoint_tensors order) to `path`.
 // `version` selects the on-disk format (1 = checksummed, 0 = legacy).
 // Throws std::runtime_error on I/O failure or unknown version.
 void save_checkpoint(Module& module, const std::string& path,
                      int version = kCheckpointVersion);
 
 // Loads a checkpoint written by save_checkpoint (either version) into a
-// structurally identical module tree. Throws on I/O failure, magic /
-// version / checksum / shape / count mismatch.
+// structurally identical module tree. Throws std::runtime_error on I/O
+// failure, magic / version / checksum / shape / count mismatch; the module
+// is only written once the whole file has been validated against it.
 void load_checkpoint(Module& module, const std::string& path);
 
-// FNV-1a over payload bytes: cheap, dependency-free, and sensitive to both
-// bit flips and truncation. Shared by checkpoint v1 and the TrainState
-// snapshot format (core/checkpoint.h).
-uint64_t fnv1a(const char* p, size_t n);
-
-// The crash-safe write protocol itself, exposed so other on-disk artifacts
-// (TrainState snapshots) get the same guarantee: `fill` writes the complete
-// contents to a stream opened on `<path>.tmp`; on success the temp file is
-// renamed over `path`. On any failure the temp file is removed and `path`
-// is left untouched.
-void atomic_write(const std::string& path,
-                  const std::function<void(std::ofstream&)>& fill);
+// Older spellings of the io/artifact.h helpers.
+using io::atomic_write;
+using io::fnv1a;
 
 }  // namespace pf::nn

@@ -1,25 +1,19 @@
-// Checkpoint format v2 ("PUFFCKP3"): quantized-model artifacts and
-// delta-compressed variant artifacts.
-//
-// Layout (shared by both artifact kinds):
-//   magic u64 | format version byte (2) | artifact kind byte |
-//   payload checksum u64 (FNV-1a) | payload bytes u64 | payload
+// Quantized-model and delta artifacts ("PUFFCKP3"): a payload in
+// io/artifact.h's checksummed envelope, header bytes {2, artifact kind}.
 //
 // Quantized-model payload: count | per tensor (checkpoint collect order):
-//   entry kind byte (0 fp32, 1 int8, 2 bf16) | dim | shape dims |
+//   entry kind byte (0 fp32, 1 int8, 2 bf16) | rank | dims |
 //   fp32: float data
 //   int8: qrows, qcols, per-row scales (f32), codes (int8)
 //   bf16: qrows, qcols, codes (u16)
 //
 // Delta payload: count | per tensor:
-//   entry kind byte (0 dense, 3 delta-lowrank) | dim | shape dims |
+//   entry kind byte (0 dense, 3 delta-lowrank) | rank | dims |
 //   dense: float residual
-//   lowrank: rank | U floats (rows*rank) | V floats (cols*rank)
+//   lowrank: factor rank | U floats (rows*rank) | V floats (cols*rank)
 //
-// Writes reuse nn::atomic_write (tmp + rename crash safety) and route every
-// byte through fault::on_write_bytes so the torn-write tests cover v2 the
-// same way they cover v0/v1. Loads verify magic, version, kind, checksum
-// and per-tensor shapes before touching the module.
+// Loads verify the framing and every entry's kind and shape before touching
+// the module; a load that throws leaves it untouched.
 #pragma once
 
 #include <string>

@@ -1,6 +1,6 @@
 // Internal slot registry shared by quantize.cc, delta.cc and qcheckpoint.cc.
 //
-// Walks a module tree in the exact order nn/serialize.cc's collect() uses
+// Walks a module tree in the exact order nn::checkpoint_tensors() uses
 // (per module: params, then buffers, then children, depth-first) and
 // annotates each tensor with the owning layer's quantized-weight slot when
 // the tensor is a quantizable weight matrix. Keeping one registry guarantees

@@ -54,7 +54,9 @@ TEST(AdaptivePolicy, EncodeDecodeRoundTripsAllKinds) {
   // Distinct kinds (and distinct knobs within a kind) never compare equal.
   for (const RankPolicy& a : policies)
     for (const RankPolicy& b : policies)
-      if (&a != &b) EXPECT_TRUE(a != b);
+      if (&a != &b) {
+        EXPECT_TRUE(a != b);
+      }
   EXPECT_TRUE(RankPolicy::variance_gated(1.5, 6, 0.5) !=
               RankPolicy::variance_gated(1.5, 7, 0.5));
   EXPECT_TRUE(RankPolicy::ab_reproject(0.92, 4, 2) !=

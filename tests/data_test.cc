@@ -191,7 +191,9 @@ TEST(SyntheticTranslation, BatchPaddingAndTargets) {
       for (int64_t t = 0; t < mb.tgt_len; ++t) {
         const int64_t y = mb.tgt_out[static_cast<size_t>(i * mb.tgt_len + t)];
         if (y == SyntheticTranslation::kEos) saw_eos = true;
-        if (saw_eos && y != SyntheticTranslation::kEos) EXPECT_EQ(y, -100);
+        if (saw_eos && y != SyntheticTranslation::kEos) {
+          EXPECT_EQ(y, -100);
+        }
       }
       EXPECT_TRUE(saw_eos);
     }
@@ -210,8 +212,9 @@ TEST(SyntheticTranslation, TgtInOutAreShiftedViews) {
           mb.tgt_in[static_cast<size_t>(i * mb.tgt_len + t + 1)];
       const int64_t out =
           mb.tgt_out[static_cast<size_t>(i * mb.tgt_len + t)];
-      if (next_in != SyntheticTranslation::kPad && out != -100)
+      if (next_in != SyntheticTranslation::kPad && out != -100) {
         EXPECT_EQ(next_in, out);
+      }
     }
 }
 

@@ -89,7 +89,7 @@ TEST(Format, MeanStdString) {
 TEST(Timer, MeasuresElapsed) {
   Timer t;
   volatile double x = 0;
-  for (int i = 0; i < 2000000; ++i) x += i;
+  for (int i = 0; i < 2000000; ++i) x = x + i;
   EXPECT_GT(t.seconds(), 0.0);
   const double first = t.seconds();
   t.reset();

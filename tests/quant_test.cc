@@ -211,8 +211,9 @@ TEST(Quant, LayerGroupsQuantizeAtomically) {
     if (!e.slot) continue;
     // Every slot of an owner group is set, or none is.
     for (const detail::Entry& o : detail::collect_entries(*m))
-      if (o.slot && o.owner == e.owner)
+      if (o.slot && o.owner == e.owner) {
         EXPECT_EQ(static_cast<bool>(*o.slot), static_cast<bool>(*e.slot));
+      }
   }
   Rng xr(13);
   ag::NoGradGuard ng;
@@ -307,7 +308,9 @@ TEST(Quant, DeltaRecoversLowRankFineTune) {
   DeltaModel d = compute_delta(*base, *variant, spec);
   ASSERT_GT(d.lowrank_entries(), 0);
   for (const DeltaEntry& e : d.entries)
-    if (e.lowrank) EXPECT_LE(e.u.size(1), 3);  // rank-2 residual found
+    if (e.lowrank) {
+      EXPECT_LE(e.u.size(1), 3);  // rank-2 residual found
+    }
 
   auto rebuilt = tiny_hybrid(24);
   nn::save_checkpoint(*base, path);
