@@ -9,7 +9,7 @@
 //  * fault::Plan -- a seeded schedule of injected faults. Every query is a
 //    pure function of (seed, site, occurrence), so a faulty run is exactly
 //    as deterministic as a fault-free one: the shm cluster kills/delays a
-//    scheduled worker at a scheduled step, the serve::Server drops requests
+//    scheduled worker at a scheduled step, the serve::Fleet drops requests
 //    with a seeded per-(id, attempt) coin, and tests replay the same faults
 //    on every run at any PF_THREADS.
 //  * ScopedWriteCrash -- arms a process-wide byte budget on checkpoint

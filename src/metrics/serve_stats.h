@@ -7,7 +7,7 @@
 // given its seed and the insertion order), so quantiles cost O(capacity)
 // memory no matter how long the run. `ServeStats` aggregates the full
 // serving picture -- throughput, admission rejects, queue depth, batch-size
-// histogram, latency quantiles -- behind one mutex; the serve workers call
+// histogram, latency quantiles -- behind one mutex; the fleet workers call
 // the record_* hooks, the load generator snapshots a ServeReport at the end.
 #pragma once
 
@@ -125,6 +125,12 @@ class FleetStats {
   void record_done(int model, double latency_ms);
 
   int models() const { return static_cast<int>(per_model_.size()); }
+  // The streams behind record_*, for a recorder that feeds them directly
+  // (serve::Fleet records each event into its model's stream and total()).
+  ServeStats& stream(int model) {
+    return *per_model_[static_cast<size_t>(model)];
+  }
+  ServeStats& total() { return total_; }
   FleetReport report() const;
 
  private:

@@ -32,13 +32,14 @@
 #include "core/eval.h"
 #include "models/lstm_lm.h"
 #include "nn/module.h"
-#include "serve/batcher.h"
+#include "serve/request.h"
 
 namespace pf::serve {
 
-// What the Server drives: anything that can forward a batch of requests.
-// Implementations write reqs[i]->output; the Server fulfils the promises
-// (after stamping latency) so engines stay oblivious to queueing.
+// What a fleet worker (serve/fleet.h) drives: anything that can forward a
+// batch of requests. Implementations write reqs[i]->output, or throw to fail
+// the whole batch; the worker fulfils the promises (after recording latency)
+// so engines stay oblivious to queueing.
 class Engine {
  public:
   virtual ~Engine() = default;

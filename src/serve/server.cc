@@ -1,182 +1,35 @@
 #include "serve/server.h"
 
-#include <algorithm>
-#include <chrono>
+#include <memory>
 #include <utility>
-#include <vector>
-
-#include "runtime/thread_pool.h"
-#include "trace/trace.h"
 
 namespace pf::serve {
 
+namespace {
+
+// Forwards to an engine the caller owns; the fleet owns only this shim.
+class BorrowedEngine : public Engine {
+ public:
+  explicit BorrowedEngine(Engine& e) : e_(e) {}
+  std::string name() const override { return e_.name(); }
+  void forward_batch(const std::vector<RequestPtr>& reqs) override {
+    e_.forward_batch(reqs);
+  }
+
+ private:
+  Engine& e_;
+};
+
+}  // namespace
+
 Server::Server(Engine& engine, const ServerConfig& cfg,
                metrics::ServeStats* stats)
-    : engine_(engine), cfg_(cfg), stats_(stats), batcher_(cfg.batcher) {}
-
-Server::~Server() { stop(); }
-
-void Server::start() {
-  if (started_.exchange(true)) return;
-  if (!cfg_.trace_path.empty()) {
-    trace_prev_ = trace::enabled();
-    trace::set_enabled(true);
-    trace::drain();  // start the export from a clean timeline
-  }
-  const int n = std::max(1, std::min(cfg_.workers, runtime::threads()));
-  workers_running_ = n;
-  dispatcher_ = std::thread([this, n] {
-    runtime::parallel_for(0, n, 1, [this](int64_t b, int64_t e) {
-      for (int64_t i = b; i < e; ++i) worker_loop();
-    });
-  });
-}
-
-void Server::stop() {
-  batcher_.shutdown();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  if (!cfg_.trace_path.empty() && started_.load()) {
-    trace::write_chrome_json(cfg_.trace_path);
-    trace::set_enabled(trace_prev_);
-    cfg_.trace_path.clear();  // stop() is idempotent; export once
-  }
-}
-
-bool Server::submit(const RequestPtr& r) {
-  if (batcher_.submit(r)) {
-    if (stats_) stats_->record_submit();
-    return true;
-  }
-  if (stats_) stats_->record_reject();
-  return false;
-}
-
-void Server::worker_loop() {
-  const bool dropping =
-      !cfg_.fault.empty() && cfg_.fault.drop_probability() > 0;
-  for (;;) {
-    std::vector<RequestPtr> batch = batcher_.next_batch();
-    if (batch.empty()) return;  // shutdown, queue drained
-    // Injected drops: the deterministic coin for (id, attempt) decides
-    // which requests this batch "loses". Survivors are still served as one
-    // batch; dropped requests are marked failed and their promises
-    // fulfilled, so a waiting client observes the failure immediately.
-    std::vector<RequestPtr> live;
-    if (dropping) {
-      live.reserve(batch.size());
-      for (const RequestPtr& r : batch) {
-        if (cfg_.fault.should_drop(r->id, r->attempt)) {
-          r->failed = true;
-          fault::record_drop();
-        } else {
-          live.push_back(r);
-        }
-      }
-    } else {
-      live = batch;
-    }
-    if (trace::enabled()) {
-      // Per-request queueing delay: submit -> this worker picking the batch
-      // up. Together with serve.forward below this separates time-in-queue
-      // from batch compute for every request in the timeline.
-      const std::uint64_t t_dequeue = trace::now_ns();
-      for (const RequestPtr& r : batch)
-        trace::emit("serve.queue", trace::to_trace_ns(r->t_submit), t_dequeue,
-                    static_cast<std::int64_t>(r->id));
-    }
-    if (!live.empty()) {
-      PF_TRACE_SCOPE_C("serve.forward", static_cast<std::int64_t>(live.size()));
-      engine_.forward_batch(live);
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (stats_ && !live.empty())
-      stats_->record_batch(static_cast<int64_t>(live.size()),
-                           batcher_.depth());
-    PF_TRACE_SCOPE_C("serve.reply", static_cast<std::int64_t>(batch.size()));
-    for (const RequestPtr& r : batch) {
-      if (stats_ && !r->failed)
-        stats_->record_done(
-            std::chrono::duration<double, std::milli>(now - r->t_submit)
-                .count());
-      r->done.set_value();
-    }
-  }
-}
-
-// ---------------- Load generators ----------------
-
-RequestPtr submit_with_retry(Server& server, const RequestFactory& make,
-                             uint64_t id, int max_attempts) {
-  const int attempts = std::max(1, max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      fault::record_retry();
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          fault::backoff_ms(attempt)));
-    }
-    RequestPtr r = make(id);
-    r->attempt = attempt;
-    std::future<void> done = r->done.get_future();
-    if (!server.submit(r)) continue;  // admission reject; back off, retry
-    done.wait();
-    if (r->failed) continue;  // injected drop; back off, retry
-    if (attempt > 0) fault::record_recovery();
-    return r;
-  }
-  return nullptr;
-}
-
-int64_t run_closed_loop(Server& server, const RequestFactory& make,
-                        const ClosedLoopConfig& cfg) {
-  std::atomic<int64_t> completed{0};
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(cfg.clients));
-  for (int c = 0; c < cfg.clients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int k = 0; k < cfg.requests_per_client; ++k) {
-        const uint64_t id = static_cast<uint64_t>(c) *
-                                static_cast<uint64_t>(
-                                    cfg.requests_per_client) +
-                            static_cast<uint64_t>(k);
-        if (cfg.max_attempts > 1) {
-          if (submit_with_retry(server, make, id, cfg.max_attempts))
-            completed.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        RequestPtr r = make(id);
-        std::future<void> done = r->done.get_future();
-        if (!server.submit(r)) continue;  // shed; keep offering load
-        done.wait();
-        if (!r->failed)
-          completed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  return completed.load();
-}
-
-int64_t run_open_loop(Server& server, const RequestFactory& make,
-                      const OpenLoopConfig& cfg) {
-  using clock = std::chrono::steady_clock;
-  const auto interval = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(1.0 / std::max(1e-9, cfg.rate_rps)));
-  std::vector<std::pair<RequestPtr, std::future<void>>> inflight;
-  inflight.reserve(static_cast<size_t>(cfg.total_requests));
-  auto next = clock::now();
-  for (int i = 0; i < cfg.total_requests; ++i) {
-    std::this_thread::sleep_until(next);
-    next += interval;
-    RequestPtr r = make(static_cast<uint64_t>(i));
-    std::future<void> done = r->done.get_future();
-    if (server.submit(r)) inflight.emplace_back(r, std::move(done));
-  }
-  int64_t completed = 0;
-  for (auto& [r, f] : inflight) {
-    f.wait();
-    if (!r->failed) ++completed;  // injected drops don't count as served
-  }
-  return completed;
+    : fleet_(cfg) {
+  FleetModelConfig m;
+  m.name = engine.name();
+  m.factory = [&engine] { return std::make_unique<BorrowedEngine>(engine); };
+  m.batcher = cfg.batcher;
+  fleet_.add_model(std::move(m), stats);
 }
 
 }  // namespace pf::serve

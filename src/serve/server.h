@@ -1,129 +1,60 @@
-// The inference server: N worker loops on the existing runtime thread pool
-// pulling dynamic batches from a Batcher and driving one shared Engine,
-// plus the closed-loop / open-loop load generators the serving benches use.
-//
-// Worker model: Server::start() launches one dispatcher std::thread whose
-// only job is to issue a single runtime::parallel_for over the worker ids.
-// Each chunk IS a worker loop, so the serving workers are literally the
-// thread pool's threads (chunk i -> pool worker i; the dispatcher itself
-// doubles as worker 0, exactly like every kernel dispatch). Consequences,
-// all intentional:
-//  * worker count is clamped to runtime::threads() -- a pool thread runs
-//    its chunks sequentially, so a second blocking loop queued behind a
-//    first would never start;
-//  * while the server runs, the pool's dispatch slot is occupied, so GEMMs
-//    inside worker loops (and any parallel_for from client threads) take
-//    the deterministic inline-serial path: parallelism comes from
-//    *requests*, not from splitting one request's kernels;
-//  * runtime::set_threads() must not be called while a server is running
-//    (it blocks on the dispatch slot until stop()).
-//
-// Lifecycle: submit() is safe from any thread; stop() stops admission,
-// drains the queue, and joins. Rejected requests are never fulfilled --
-// the submit() return value is the rejection signal.
+// The single-model serving front end: a thin facade over a one-model Fleet
+// (serve/fleet.h), which owns the queue, the flush rules, the workers, the
+// fault drops and the trace export. Server keeps the one-model spelling --
+// Server(engine, cfg, &stats), submit(r) -- and the load generators' Server
+// overloads, which drive the fleet's one model.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <thread>
 
-#include "fault/fault.h"
 #include "metrics/serve_stats.h"
-#include "serve/batcher.h"
-#include "serve/frozen.h"
+#include "serve/fleet.h"
 
 namespace pf::serve {
 
-struct ServerConfig {
-  int workers = 2;  // desired; clamped to runtime::threads() at start()
+// FleetConfig (workers, fault, trace_path) plus the one model's flush rules.
+struct ServerConfig : FleetConfig {
   BatcherConfig batcher;
-  // Deterministic fault schedule. With drop_requests(p) set, workers drop
-  // each (id, attempt) pair with probability p instead of serving it; the
-  // request's promise is still fulfilled with failed = true, so clients
-  // observe the failure rather than hanging (see submit_with_retry).
-  fault::Plan fault;
-  // When non-empty, span tracing (trace/trace.h) is enabled at start() and
-  // the merged timeline -- serve.queue / serve.flush / serve.forward /
-  // serve.reply spans separating queueing delay from batch compute per
-  // request -- is written here as chrome://tracing JSON at stop().
-  std::string trace_path;
 };
 
 class Server {
  public:
-  // `stats` may be null (no recording). The engine must outlive the server
-  // and, for >1 worker, should be primed before traffic arrives.
+  // `stats` may be null (no recording); it records from the first submit.
+  // The engine must outlive the server and, for >1 worker, should be primed
+  // before traffic arrives.
   Server(Engine& engine, const ServerConfig& cfg,
          metrics::ServeStats* stats = nullptr);
-  ~Server();
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
 
-  void start();
-  void stop();  // idempotent: drain, join, stop recording
+  void start() { fleet_.start(); }
+  void stop() { fleet_.stop(); }  // idempotent: drain, join, export trace
 
   // Enqueue a request. Returns false when the admission policy rejects it
   // (bounded queue full, or server stopped); rejected requests' promises
   // are never fulfilled.
-  bool submit(const RequestPtr& r);
+  bool submit(const RequestPtr& r) { return fleet_.submit(0, r); }
 
   // Workers actually running (post-clamp); 0 before start().
-  int workers() const { return workers_running_; }
-  int64_t queue_depth() const { return batcher_.depth(); }
+  int workers() const { return fleet_.workers(); }
+  int64_t queue_depth() const { return fleet_.queue_depth(0); }
+  Fleet& fleet() { return fleet_; }
 
  private:
-  void worker_loop();
-
-  Engine& engine_;
-  ServerConfig cfg_;
-  metrics::ServeStats* stats_;
-  Batcher batcher_;
-  std::thread dispatcher_;
-  std::atomic<bool> started_{false};
-  int workers_running_ = 0;
-  bool trace_prev_ = false;  // tracer state to restore at stop()
+  Fleet fleet_;
 };
 
-// ---------------- Load generators ----------------
+inline RequestPtr submit_with_retry(Server& server, const RequestFactory& make,
+                                    uint64_t id, int max_attempts = 4) {
+  return submit_with_retry(server.fleet(), 0, make, id, max_attempts);
+}
 
-// Builds the i-th request (deterministic in `id` so runs are reproducible).
-using RequestFactory = std::function<RequestPtr(uint64_t id)>;
+inline int64_t run_closed_loop(Server& server, const RequestFactory& make,
+                               const ClosedLoopConfig& cfg) {
+  return run_closed_loop(server.fleet(), 0, make, cfg);
+}
 
-// Submit with retry + exponential backoff: survives admission rejects and
-// injected drops. Each attempt is a FRESH request from `make` (promises are
-// single-use) carrying the same id and attempt = 0, 1, ... so the fault
-// plan's drop coin is redrawn per attempt. Sleeps fault::backoff_ms between
-// attempts. Returns the completed request, or nullptr when all
-// `max_attempts` failed (the caller's load-shedding signal).
-RequestPtr submit_with_retry(Server& server, const RequestFactory& make,
-                             uint64_t id, int max_attempts = 4);
-
-struct ClosedLoopConfig {
-  int clients = 4;              // concurrent clients, each with 0 think time
-  int requests_per_client = 32;
-  // > 1 routes each request through submit_with_retry, so injected drops
-  // and admission rejects are retried instead of shed.
-  int max_attempts = 1;
-};
-
-// Closed loop: each client submits one request, waits for the response,
-// then immediately submits the next -- throughput is offered-load-limited
-// by the service rate (the classic "N outstanding requests" benchmark).
-// Returns the number of completed (non-rejected) requests.
-int64_t run_closed_loop(Server& server, const RequestFactory& make,
-                        const ClosedLoopConfig& cfg);
-
-struct OpenLoopConfig {
-  double rate_rps = 200;    // fixed arrival rate, independent of service
-  int total_requests = 256;
-};
-
-// Open loop: arrivals at a fixed rate whether or not the server keeps up,
-// so queueing delay and admission rejects become visible (this is the
-// arrival model SLO percentiles are defined against). Waits for all
-// accepted requests before returning; returns the number completed.
-int64_t run_open_loop(Server& server, const RequestFactory& make,
-                      const OpenLoopConfig& cfg);
+inline int64_t run_open_loop(Server& server, const RequestFactory& make,
+                             const OpenLoopConfig& cfg) {
+  return run_open_loop(server.fleet(), 0, make, cfg);
+}
 
 }  // namespace pf::serve

@@ -11,7 +11,7 @@
 //
 // Enabling: export PF_TRACE=1 (anything but "0"/empty), or call
 // trace::set_enabled(true), or set VisionTrainConfig::trace_path /
-// serve::ServerConfig::trace_path which enable for the run and export on exit.
+// serve::FleetConfig::trace_path which enable for the run and export on exit.
 //
 // drain()/reset() must be called at quiesce points (no concurrent Scope
 // writers mid-span); all call sites in the repo drain after joins.

@@ -1,6 +1,7 @@
 // Deterministic fault injection: plan queries are pure functions of the
 // seed, injected shm-cluster kills/delays are survived with bitwise-exact
-// recovery, injected serving drops are retried to completion, and the
+// recovery, injected serving drops (Server and a two-model Fleet) are
+// retried to completion with bitwise-identical outputs, and the
 // write-crash hook fires on an armed byte budget. The whole file also runs
 // under PF_THREADS=4 (ctest pf_tests_threads4) and ASan (pf_tests_fault).
 #include "fault/fault.h"
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "metrics/metrics.h"
 #include "models/resnet.h"
 #include "runtime/shm_cluster.h"
+#include "serve/fleet.h"
 #include "serve/frozen.h"
 #include "serve/server.h"
 
@@ -327,6 +330,82 @@ TEST(Fault, ServeDroppedRequestFailsFastWithoutRetry) {
   EXPECT_EQ(s.retries, 2u);           // attempts 1 and 2 were retries
   EXPECT_EQ(s.recoveries, 0u);
   metrics::reset_fault_stats();
+}
+
+// ---------------- Fleet drops + retry ----------------
+
+TEST(FaultFleet, DropsRetriedToCompletionBitwiseAndNeverCountedDone) {
+  // Two models on one fleet with FleetConfig::fault dropping 40% of
+  // attempts. Retried submission completes every request, each output is
+  // bitwise the fault-free one, and FleetStats counts no dropped attempt as
+  // completed.
+  constexpr int kPerModel = 12;
+  auto make_for = [](int mdl) -> serve::RequestFactory {
+    return [mdl](uint64_t id) {
+      Rng rng(1000 * static_cast<uint64_t>(mdl + 1) + id);
+      return serve::make_request(id, rng.randn(Shape{3, 8, 8}));
+    };
+  };
+  auto run = [&](double drop_p, metrics::FleetStats* stats) {
+    serve::FleetConfig cfg;
+    cfg.workers = 2;
+    if (drop_p > 0) {
+      cfg.fault = fault::Plan(33);
+      cfg.fault.drop_requests(drop_p);
+    }
+    serve::Fleet fleet(cfg, stats);
+    for (int mdl = 0; mdl < 2; ++mdl) {
+      if (stats) stats->add_model(mdl == 0 ? "vanilla" : "hybrid");
+      serve::FleetModelConfig mc;
+      mc.name = mdl == 0 ? "vanilla" : "hybrid";
+      mc.factory = [mdl]() -> std::unique_ptr<serve::Engine> {
+        auto f = std::make_unique<serve::FrozenModel>(
+            tiny_resnet(40 + static_cast<uint64_t>(mdl)), "m");
+        f->prime(Shape{3, 8, 8}, 4);
+        return f;
+      };
+      mc.batcher.max_batch = 4;
+      mc.batcher.deadline_ms = 0.5;
+      fleet.add_model(std::move(mc));
+    }
+    if (stats) stats->begin();
+    fleet.start();
+    std::vector<Tensor> outs(2 * kPerModel);
+    std::vector<std::thread> clients;
+    for (int mdl = 0; mdl < 2; ++mdl)
+      clients.emplace_back([&, mdl] {
+        const serve::RequestFactory make = make_for(mdl);
+        for (int i = 0; i < kPerModel; ++i) {
+          const serve::RequestPtr r = serve::submit_with_retry(
+              fleet, mdl, make, static_cast<uint64_t>(i), 16);
+          if (r) outs[static_cast<size_t>(mdl * kPerModel + i)] = r->output;
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    fleet.stop();
+    return outs;
+  };
+
+  const std::vector<Tensor> clean = run(0, nullptr);
+  metrics::reset_fault_stats();
+  metrics::FleetStats stats;
+  const std::vector<Tensor> faulty = run(0.4, &stats);
+  const fault::FaultStats fs = metrics::fault_stats();
+  metrics::reset_fault_stats();
+
+  for (size_t i = 0; i < clean.size(); ++i) {
+    ASSERT_GT(faulty[i].numel(), 0) << "request " << i << " never completed";
+    EXPECT_TRUE(bitwise_equal(clean[i], faulty[i])) << "request " << i;
+  }
+  const metrics::FleetReport rep = stats.report();
+  EXPECT_GT(fs.dropped_requests, 0u);
+  EXPECT_GT(fs.recoveries, 0u);
+  for (const metrics::ServeReport& m : rep.models)
+    EXPECT_EQ(m.completed, static_cast<uint64_t>(kPerModel));
+  EXPECT_EQ(rep.total.completed, static_cast<uint64_t>(2 * kPerModel));
+  // Every accepted attempt either completed or was dropped -- never both.
+  EXPECT_EQ(rep.total.submitted, rep.total.completed + fs.dropped_requests);
+  EXPECT_EQ(rep.total.rejected, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,22 @@
 // Fleet serving tests: lazy engine materialization, per-model bounded
 // admission, weighted-EDF scheduling order, per-model stats breakdowns,
-// trace determinism, and bitwise-identical serve outputs across thread
-// counts (also run under ctest pf_tests_threads4 via the Fleet* filter).
+// trace determinism, engine errors failing only their batch, flush-rule
+// clamping, and bitwise-identical serve outputs across thread counts (also
+// run under ctest pf_tests_threads4 via the Fleet* filter).
 #include "serve/fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,6 +77,12 @@ FleetModelConfig tagging_model(const std::string& name, int tag,
   mc.slo.deadline_ms = deadline_ms;
   mc.slo.weight = weight;
   return mc;
+}
+
+FleetConfig with_workers(int n) {
+  FleetConfig cfg;
+  cfg.workers = n;
+  return cfg;
 }
 
 RequestPtr req(uint64_t id) {
@@ -219,7 +233,7 @@ TEST(Fleet, ServeOutputsBitwiseIdenticalAcrossThreadCounts) {
 
   auto serve_all = [&](int threads) {
     runtime::set_threads(threads);
-    Fleet fleet(FleetConfig{/*workers=*/threads});
+    Fleet fleet(with_workers(threads));
     for (int mdl = 0; mdl < 2; ++mdl) {
       FleetModelConfig mc;
       mc.name = mdl == 0 ? "fp32" : "int8";
@@ -260,6 +274,81 @@ TEST(Fleet, ServeOutputsBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_EQ(out1.size(), out4.size());
   for (size_t i = 0; i < out1.size(); ++i)
     EXPECT_TRUE(bitwise_equal(out1[i], out4[i])) << "request " << i;
+}
+
+TEST(Fleet, ThrowingFactoryFailsOnlyItsBatch) {
+  // A model whose artifact is corrupt: its lazy factory throws at first
+  // dispatch. That batch is failed and fulfilled, the worker keeps serving
+  // the healthy model, and the next batch retries the factory.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "fleet_corrupt.ckpt." + std::to_string(::getpid());
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "not a checkpoint";
+  }
+  ServeLog log;
+  std::atomic<int> tries{0};
+  metrics::FleetStats stats;
+  stats.add_model("corrupt");
+  stats.add_model("ok");
+  stats.begin();
+  Fleet fleet(with_workers(1), &stats);
+  FleetModelConfig corrupt;
+  corrupt.name = "corrupt";
+  corrupt.factory = [&tries, path]() -> std::unique_ptr<Engine> {
+    tries.fetch_add(1);
+    return std::make_unique<FrozenModel>(tiny_resnet(5), "corrupt", path);
+  };
+  const int bad = fleet.add_model(std::move(corrupt));
+  const int good = fleet.add_model(tagging_model("ok", 1, &log, nullptr));
+  fleet.start();
+  for (uint64_t round = 0; round < 2; ++round) {
+    RequestPtr rb = req(round), rg = req(round);
+    std::future<void> fb = rb->done.get_future();
+    std::future<void> fg = rg->done.get_future();
+    ASSERT_TRUE(fleet.submit(bad, rb));
+    ASSERT_TRUE(fleet.submit(good, rg));
+    fb.wait();
+    fg.wait();
+    EXPECT_TRUE(rb->failed) << round;
+    EXPECT_FALSE(rg->failed) << round;
+  }
+  fleet.stop();
+  EXPECT_EQ(tries.load(), 2);  // a failed factory is retried, not latched
+  EXPECT_FALSE(fleet.materialized(bad));
+  EXPECT_THROW(fleet.materialize(bad), std::runtime_error);  // direct call
+  const metrics::FleetReport rep = stats.report();
+  EXPECT_EQ(rep.models[static_cast<size_t>(bad)].submitted, 2u);
+  EXPECT_EQ(rep.models[static_cast<size_t>(bad)].completed, 0u);
+  EXPECT_EQ(rep.models[static_cast<size_t>(good)].completed, 2u);
+  EXPECT_EQ(rep.total.completed, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Fleet, FlushRulesAreClampedWhenAModelIsAdded) {
+  // max_batch 0 would hand workers an empty batch (their exit signal) and
+  // strand the request; max_depth 0 would reject everything; a negative
+  // deadline is meaningless. add_model clamps them to 1, 1 and 0.
+  ServeLog log;
+  Fleet fleet(with_workers(1));
+  FleetModelConfig mc = tagging_model("zero", 0, &log, nullptr);
+  mc.batcher.max_batch = 0;
+  mc.batcher.max_depth = 0;
+  mc.batcher.deadline_ms = -5;
+  const int m = fleet.add_model(std::move(mc));
+  RequestPtr r = req(0);
+  std::future<void> done = r->done.get_future();
+  ASSERT_TRUE(fleet.submit(m, r));
+  EXPECT_FALSE(fleet.submit(m, req(1)));  // depth clamped to 1
+  fleet.start();
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_FALSE(r->failed);
+  RequestPtr r2 = req(2);
+  std::future<void> done2 = r2->done.get_future();
+  ASSERT_TRUE(fleet.submit(m, r2));
+  ASSERT_EQ(done2.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  fleet.stop();
+  EXPECT_EQ(log.order.size(), 2u);
 }
 
 TEST(Fleet, StatsBreakdownsPerModelAndAggregate) {

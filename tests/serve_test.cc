@@ -1,9 +1,10 @@
-// Serving subsystem tests: batcher flush/admission semantics, frozen-engine
-// bitwise equivalence with module eval forwards, zero-allocation steady
-// state, and end-to-end concurrent-client determinism. The whole file also
-// runs under PF_THREADS=4 (ctest pf_tests_threads4) and ThreadSanitizer
-// (ctest pf_tests_tsan), which is where the "engines are read-only after
-// prime()" contract is actually enforced.
+// Serving subsystem tests: flush/admission semantics through Server,
+// frozen-engine bitwise equivalence with module eval forwards,
+// zero-allocation steady state, end-to-end concurrent-client determinism,
+// and engine errors failing only their batch. The whole file also runs
+// under PF_THREADS=4 (ctest pf_tests_threads4), ASan + UBSan
+// (pf_tests_asan) and ThreadSanitizer (pf_tests_tsan), which is where the
+// "engines are read-only after prime()" contract is actually enforced.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,142 +65,206 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-// ---------------- Batcher ----------------
+// ---------------- Flush rules, through Server ----------------
 
-TEST(Batcher, FlushesImmediatelyAtMaxBatch) {
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 10000;  // deadline must not be what flushes this
-  Batcher b(cfg);
-  for (uint64_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(b.submit(make_request(i, Tensor::ones(Shape{2}))));
-  metrics::Timer t;
-  std::vector<RequestPtr> batch = b.next_batch();
-  EXPECT_LT(t.seconds(), 1.0);  // no deadline wait
-  ASSERT_EQ(batch.size(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(batch[i]->id, i);
-  EXPECT_EQ(b.depth(), 0);
+// Engine that echoes inputs and logs the request ids of every batch it
+// serves, in order.
+class BatchLog : public Engine {
+ public:
+  std::string name() const override { return "batch-log"; }
+  void forward_batch(const std::vector<RequestPtr>& reqs) override {
+    std::vector<uint64_t> ids;
+    for (const RequestPtr& r : reqs) {
+      r->output = r->input;
+      ids.push_back(r->id);
+    }
+    std::lock_guard<std::mutex> lk(m_);
+    batches_.push_back(std::move(ids));
+  }
+  std::vector<std::vector<uint64_t>> batches() const {
+    std::lock_guard<std::mutex> lk(m_);
+    return batches_;
+  }
+
+ private:
+  mutable std::mutex m_;
+  std::vector<std::vector<uint64_t>> batches_;
+};
+
+ServerConfig flush_rules(int workers, int64_t max_batch, double deadline_ms,
+                         int64_t max_depth = 256) {
+  ServerConfig cfg;
+  cfg.workers = workers;
+  cfg.batcher.max_batch = max_batch;
+  cfg.batcher.deadline_ms = deadline_ms;
+  cfg.batcher.max_depth = max_depth;
+  return cfg;
 }
 
-TEST(Batcher, FlushesPartialBatchAtDeadline) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.deadline_ms = 30;
-  Batcher b(cfg);
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  ASSERT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
+// Submits request `id` and returns the future its reply fulfils.
+std::future<void> submit_one(Server& server, uint64_t id,
+                             RequestPtr* out = nullptr) {
+  RequestPtr r = make_request(id, Tensor::ones(Shape{2}));
+  std::future<void> done = r->done.get_future();
+  EXPECT_TRUE(server.submit(r));
+  if (out) *out = r;
+  return done;
+}
+
+TEST(Server, FlushesImmediatelyAtMaxBatch) {
+  BatchLog engine;
+  // The deadline must not be what flushes this.
+  Server server(engine, flush_rules(1, 4, 10000));
+  server.start();
   metrics::Timer t;
-  std::vector<RequestPtr> batch = b.next_batch();
+  std::vector<std::future<void>> done;
+  for (uint64_t i = 0; i < 4; ++i) done.push_back(submit_one(server, i));
+  for (auto& f : done) f.wait();
+  EXPECT_LT(t.seconds(), 1.0);  // no deadline wait
+  server.stop();
+  const auto batches = engine.batches();
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0], (std::vector<uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(server.queue_depth(), 0);
+}
+
+TEST(Server, FlushesPartialBatchAtDeadline) {
+  BatchLog engine;
+  Server server(engine, flush_rules(1, 8, 30));
+  metrics::Timer t;
+  // Both queued before the worker exists, so they share one batch.
+  std::future<void> d0 = submit_one(server, 0);
+  std::future<void> d1 = submit_one(server, 1);
+  server.start();
+  d0.wait();
+  d1.wait();
   const double waited = t.seconds();
-  ASSERT_EQ(batch.size(), 2u);
+  server.stop();
+  ASSERT_EQ(engine.batches().size(), 1u);
+  EXPECT_EQ(engine.batches()[0].size(), 2u);
   // The oldest request's deadline bounds the wait: the worker must have
   // actually waited for peers (>= ~deadline, minus scheduling slop).
   EXPECT_GE(waited, 0.02);
 }
 
-TEST(Batcher, ZeroDeadlineIsGreedy) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.deadline_ms = 0;
-  Batcher b(cfg);
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
+TEST(Server, ZeroDeadlineIsGreedy) {
+  BatchLog engine;
+  Server server(engine, flush_rules(1, 8, 0));
+  server.start();
   metrics::Timer t;
-  EXPECT_EQ(b.next_batch().size(), 1u);
+  submit_one(server, 0).wait();
   EXPECT_LT(t.seconds(), 1.0);
+  server.stop();
+  ASSERT_EQ(engine.batches().size(), 1u);
+  EXPECT_EQ(engine.batches()[0].size(), 1u);
 }
 
-TEST(Batcher, RejectsBeyondBoundedDepth) {
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 10000;
-  cfg.max_depth = 3;
-  Batcher b(cfg);
-  EXPECT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  EXPECT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
-  EXPECT_TRUE(b.submit(make_request(2, Tensor::ones(Shape{2}))));
-  EXPECT_FALSE(b.submit(make_request(3, Tensor::ones(Shape{2}))));
-  EXPECT_EQ(b.depth(), 3);
-  b.shutdown();
-  EXPECT_FALSE(b.submit(make_request(4, Tensor::ones(Shape{2}))));
-  // Drain semantics: queued work is still handed out after shutdown...
-  EXPECT_EQ(b.next_batch().size(), 3u);
-  // ...and only then do workers see the exit signal.
-  EXPECT_TRUE(b.next_batch().empty());
+TEST(Server, RejectsBeyondBoundedDepthAndDrainsOnStop) {
+  BatchLog engine;
+  metrics::ServeStats stats;
+  stats.begin();
+  Server server(engine, flush_rules(1, 4, 10000, /*max_depth=*/3), &stats);
+  std::vector<std::future<void>> done;
+  for (uint64_t i = 0; i < 3; ++i) done.push_back(submit_one(server, i));
+  EXPECT_FALSE(server.submit(make_request(3, Tensor::ones(Shape{2}))));
+  EXPECT_EQ(server.queue_depth(), 3);
+  // Drain semantics: stop() hands the queued partial batch out at once,
+  // without waiting out its deadline...
+  metrics::Timer t;
+  server.start();
+  server.stop();
+  EXPECT_LT(t.seconds(), 5.0);
+  for (auto& f : done) f.wait();
+  // ...and a stopped server admits nothing.
+  EXPECT_FALSE(server.submit(make_request(4, Tensor::ones(Shape{2}))));
+  ASSERT_EQ(engine.batches().size(), 1u);
+  EXPECT_EQ(engine.batches()[0].size(), 3u);
+  const metrics::ServeReport rep = stats.report();
+  EXPECT_EQ(rep.submitted, 3u);
+  EXPECT_EQ(rep.rejected, 2u);
+  EXPECT_EQ(rep.completed, 3u);
 }
 
-TEST(Batcher, DeadlineReArmsAfterAnotherWorkerFlushes) {
-  // Regression for the flush-deadline re-arm path: worker A parks on a
+TEST(Server, DeadlineReArmsAfterAnotherWorkerFlushes) {
+  // Regression for the flush-deadline re-arm path: workers park on a
   // deadline computed from the oldest request; another worker pops that
   // request. The deadline must then be re-anchored to the CURRENT front --
-  // a stale anchor would flush a freshly submitted request immediately (as
-  // a batch of one) instead of letting it wait its own deadline_ms for
-  // peers.
-  BatcherConfig cfg;
-  cfg.max_batch = 3;
-  cfg.deadline_ms = 80;
-  Batcher b(cfg);
+  // a stale anchor would flush a freshly submitted request early (as a
+  // batch of one) instead of letting it wait its own deadline_ms for peers.
+  ThreadGuard tg;
+  runtime::set_threads(2);
+  BatchLog engine;
+  Server server(engine, flush_rules(2, 3, 200));
+  server.start();
+  ASSERT_EQ(server.workers(), 2);
 
-  ASSERT_TRUE(b.submit(make_request(0, Tensor::ones(Shape{2}))));
-  // Worker A parks with the deadline anchored to request 0.
-  std::vector<RequestPtr> got_a;
-  std::thread worker_a([&] { got_a = b.next_batch(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Worker B arrives, and two more submissions complete a full batch that
-  // B (or A) takes immediately -- either way request 0 leaves the queue.
-  ASSERT_TRUE(b.submit(make_request(1, Tensor::ones(Shape{2}))));
-  ASSERT_TRUE(b.submit(make_request(2, Tensor::ones(Shape{2}))));
-  worker_a.join();
-  ASSERT_EQ(got_a.size(), 3u);
+  std::future<void> d0 = submit_one(server, 0);
+  // Both workers park with the deadline anchored to request 0.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Two more submissions complete a full batch that one worker takes
+  // immediately -- request 0 leaves the queue long before its deadline.
+  std::future<void> d1 = submit_one(server, 1);
+  std::future<void> d2 = submit_one(server, 2);
+  d0.wait();
+  d1.wait();
+  d2.wait();
 
-  // A fresh request submitted now is anchored to its OWN submit time: a
-  // second worker must hold it for ~deadline_ms waiting for peers, not
-  // flush it instantly against request 0's long-gone deadline.
-  ASSERT_TRUE(b.submit(make_request(3, Tensor::ones(Shape{2}))));
+  // A fresh request is anchored to its OWN submit time: it must be held for
+  // ~deadline_ms waiting for peers, not flushed ~100 ms in against request
+  // 0's long-gone deadline.
   metrics::Timer t;
-  std::vector<RequestPtr> got_b = b.next_batch();
+  submit_one(server, 3).wait();
   const double waited = t.seconds();
-  ASSERT_EQ(got_b.size(), 1u);
-  EXPECT_EQ(got_b[0]->id, 3u);
-  EXPECT_GE(waited, 0.05);  // ~deadline_ms minus scheduling slop
+  server.stop();
+  const auto batches = engine.batches();
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].size(), 3u);
+  EXPECT_EQ(batches[1], (std::vector<uint64_t>{3}));
+  EXPECT_GE(waited, 0.15);  // a stale anchor would flush at ~0.1 s
 }
 
-TEST(Batcher, ZeroDeadlineStaysGreedyUnderConcurrentWorkers) {
-  // deadline_ms = 0 degenerate case: the armed deadline is the front's own
-  // submit time (always in the past), so next_batch never parks -- even
-  // when several workers race over the same queue.
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.deadline_ms = 0;
-  Batcher b(cfg);
+TEST(Server, ZeroDeadlineStaysGreedyUnderConcurrentWorkers) {
+  // deadline_ms = 0 degenerate case: the flush time is the front's own
+  // submit time (always in the past), so workers never park on a deadline
+  // -- even when several race over the same queue.
+  ThreadGuard tg;
+  runtime::set_threads(3);
+  BatchLog engine;
+  metrics::ServeStats stats;
+  stats.begin();
+  Server server(engine, flush_rules(3, 4, 0), &stats);
+  server.start();
   constexpr int kRequests = 32;
-  std::atomic<int> handed{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 3; ++w)
-    workers.emplace_back([&] {
-      for (;;) {
-        std::vector<RequestPtr> batch = b.next_batch();
-        if (batch.empty()) return;  // shutdown + drained
-        handed.fetch_add(static_cast<int>(batch.size()));
-      }
-    });
   metrics::Timer t;
+  std::vector<std::future<void>> done;
   for (int i = 0; i < kRequests; ++i)
-    ASSERT_TRUE(b.submit(make_request(static_cast<uint64_t>(i),
-                                      Tensor::ones(Shape{2}))));
-  b.shutdown();
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(handed.load(), kRequests);  // every request handed out once
-  EXPECT_LT(t.seconds(), 5.0);          // greedy: nobody waited a deadline
+    done.push_back(submit_one(server, static_cast<uint64_t>(i)));
+  for (auto& f : done) f.wait();
+  EXPECT_LT(t.seconds(), 5.0);  // greedy: nobody waited a deadline
+  server.stop();
+  // Every request handed out exactly once.
+  std::vector<int> seen(kRequests, 0);
+  for (const auto& b : engine.batches())
+    for (uint64_t id : b) ++seen[static_cast<size_t>(id)];
+  EXPECT_EQ(seen, std::vector<int>(kRequests, 1));
+  EXPECT_EQ(stats.report().completed, static_cast<uint64_t>(kRequests));
 }
 
-TEST(Batcher, ShutdownWakesBlockedWorker) {
-  BatcherConfig cfg;
-  cfg.deadline_ms = 10000;
-  Batcher b(cfg);
-  std::thread worker([&] { EXPECT_TRUE(b.next_batch().empty()); });
+TEST(Server, StopDrainsAndWakesBlockedWorker) {
+  BatchLog engine;
+  Server server(engine, flush_rules(1, 8, 10000));
+  server.start();
+  // The worker blocks on the empty queue, then parks on the deadline.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  b.shutdown();
-  worker.join();
+  RequestPtr r;
+  std::future<void> done = submit_one(server, 0, &r);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  metrics::Timer t;
+  server.stop();  // must wake it, serve the request, and join
+  EXPECT_LT(t.seconds(), 5.0);
+  ASSERT_EQ(done.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_FALSE(r->failed);
+  EXPECT_EQ(engine.batches().size(), 1u);
 }
 
 // ---------------- Frozen engines ----------------
@@ -481,6 +547,37 @@ TEST(Server, ClosedLoopLoadGenCompletesAll) {
   for (size_t s = 0; s < rep.batch_hist.size(); ++s)
     hist_total += rep.batch_hist[s] * static_cast<uint64_t>(s);
   EXPECT_EQ(hist_total, rep.completed);
+}
+
+TEST(Server, MalformedRequestFailsOnlyItsBatch) {
+  // FrozenLstm throws on a prefix whose length != seq_len. The worker must
+  // fail that batch -- fulfilled, failed, not completed -- and keep serving.
+  FrozenLstm frozen(tiny_lstm(10), 5, "lstm-malformed");
+  frozen.prime(1);
+  metrics::ServeStats stats;
+  stats.begin();
+  Server server(frozen, flush_rules(1, 1, 0), &stats);
+  server.start();
+  RequestPtr bad = make_request(0, std::vector<int64_t>{1, 2, 3});
+  RequestPtr good = make_request(1, std::vector<int64_t>{1, 2, 3, 4, 5});
+  std::future<void> bad_done = bad->done.get_future();
+  std::future<void> good_done = good->done.get_future();
+  ASSERT_TRUE(server.submit(bad));
+  ASSERT_TRUE(server.submit(good));
+  bad_done.wait();
+  good_done.wait();
+  server.stop();
+  EXPECT_TRUE(bad->failed);
+  EXPECT_FALSE(good->failed);
+  // Batch of one, seq_len 5: the last timestep is logits row 4.
+  const Tensor want = frozen.forward({1, 2, 3, 4, 5}, 5, 1)
+                          .narrow(4, 1)
+                          .reshape(Shape{good->output.numel()});
+  EXPECT_TRUE(bitwise_equal(want, good->output));
+  const metrics::ServeReport rep = stats.report();
+  EXPECT_EQ(rep.submitted, 2u);
+  EXPECT_EQ(rep.completed, 1u);
+  EXPECT_EQ(rep.batches, 1u);
 }
 
 TEST(Server, OpenLoopLoadGenRespectsAdmission) {

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "data/synthetic.h"
 #include "models/resnet.h"
 #include "runtime/thread_pool.h"
+#include "serve/fleet.h"
 #include "serve/frozen.h"
 #include "serve/server.h"
 #include "tensor/rng.h"
@@ -364,6 +366,58 @@ TEST(TraceJson, ServeRunExportsQueueFlushForwardReplySpans) {
   expect_well_formed_json(json);
   // Queueing delay and batch compute are separable per request: one
   // serve.queue span per request plus flush/forward/reply per batch.
+  for (const char* span :
+       {"serve.queue", "serve.flush", "serve.forward", "serve.reply"}) {
+    EXPECT_TRUE(contains(json, std::string("\"name\":\"") + span + "\""))
+        << "missing span " << span;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TraceJson, FleetRunExportsQueueFlushForwardReplySpans) {
+  // The same spans from a two-model fleet exported via
+  // FleetConfig::trace_path: one serving loop records them for every model.
+  TraceGuard g;
+  ThreadGuard tg;
+  runtime::set_threads(2);
+  const std::string path = tmp_path("pf_trace_fleet_test.json");
+
+  serve::FleetConfig cfg;
+  cfg.workers = 2;
+  cfg.trace_path = path;
+  serve::Fleet fleet(cfg);
+  for (uint64_t seed : {41u, 42u}) {
+    serve::FleetModelConfig mc;
+    mc.name = "trace-fleet-" + std::to_string(seed);
+    mc.factory = [seed]() -> std::unique_ptr<serve::Engine> {
+      Rng rng(seed);
+      models::ResNetCifarConfig rc;
+      rc.width_mult = 0.0625;
+      auto f = std::make_unique<serve::FrozenModel>(
+          std::make_unique<models::ResNet18Cifar>(rc, rng), "trace-fleet");
+      f->prime(Shape{3, 8, 8}, 4);
+      return f;
+    };
+    mc.batcher.max_batch = 4;
+    mc.batcher.deadline_ms = 0;  // greedy flush
+    fleet.add_model(std::move(mc));
+  }
+
+  constexpr int kRequests = 6;
+  std::vector<std::future<void>> done;
+  fleet.start();
+  for (int i = 0; i < kRequests; ++i) {
+    Rng in(200 + static_cast<uint64_t>(i));
+    serve::RequestPtr r = serve::make_request(static_cast<uint64_t>(i),
+                                              in.randn(Shape{3, 8, 8}));
+    done.push_back(r->done.get_future());
+    ASSERT_TRUE(fleet.submit(i % 2, r));
+  }
+  for (std::future<void>& f : done) f.wait();
+  fleet.stop();  // exports the timeline
+
+  const std::string json = read_file(path);
+  expect_well_formed_json(json);
   for (const char* span :
        {"serve.queue", "serve.flush", "serve.forward", "serve.reply"}) {
     EXPECT_TRUE(contains(json, std::string("\"name\":\"") + span + "\""))
