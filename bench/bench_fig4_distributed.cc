@@ -16,6 +16,7 @@
 
 #include "core/factorize.h"
 #include "dist/cluster.h"
+#include "plan/comm_sim.h"
 #include "runtime/shm_cluster.h"
 #include "runtime/thread_pool.h"
 
@@ -207,14 +208,13 @@ int main() {
 
     metrics::Table t({"nodes", "vanilla epoch (s)", "Pufferfish epoch (s)",
                       "speedup", "paper speedup @16: 1.52x"});
+    const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
     for (int nodes : {2, 4, 8, 16}) {
-      dist::CostModel cm;
-      cm.nodes = nodes;
       const double steps = images / (per_node_batch * nodes);
-      const double step_v = dist::ddp_epoch_seconds(
-          flops_v * per_node_batch / v100, bytes_v, cm);
-      const double step_p = dist::ddp_epoch_seconds(
-          flops_p * per_node_batch / v100, bytes_p, cm);
+      const double step_v = plan::overlap_epoch_seconds(
+          flops_v * per_node_batch / v100, bytes_v, nodes, hw);
+      const double step_p = plan::overlap_epoch_seconds(
+          flops_p * per_node_batch / v100, bytes_p, nodes, hw);
       t.add_row({std::to_string(nodes), metrics::fmt(steps * step_v, 1),
                  metrics::fmt(steps * step_p, 1),
                  metrics::fmt_ratio(step_v / step_p), ""});

@@ -45,17 +45,6 @@ void get(io::ByteReader& r, std::vector<T>& v) {
 
 }  // namespace
 
-uint64_t hash_model(nn::Module& model) {
-  // FNV-1a of each tensor's bytes, chained so tensor boundaries count.
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (const Tensor* t : nn::checkpoint_tensors(model)) {
-    h ^= io::fnv1a(reinterpret_cast<const char*>(t->data()),
-                   static_cast<size_t>(t->numel()) * sizeof(float));
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 void capture_optimizer(optim::Optimizer& opt, TrainState& st) {
   st.opt_scalars = opt.state_scalars();
   st.opt_tensors.clear();
@@ -154,7 +143,7 @@ void save_snapshot(nn::Module& model, TrainState st, const std::string& dir) {
   PF_TRACE_SCOPE_C("ckpt.save", st.next_epoch);
   std::filesystem::create_directories(dir);
   const SnapshotPaths p = snapshot_paths(dir);
-  st.model_hash = hash_model(model);
+  st.model_hash = nn::checkpoint_hash(model);
   nn::save_checkpoint(model, p.model);
   save_train_state(st, p.state);
 }
@@ -163,13 +152,14 @@ TrainState load_snapshot(nn::Module& model, const std::string& dir) {
   PF_TRACE_SCOPE("ckpt.load");
   const SnapshotPaths p = snapshot_paths(dir);
   TrainState st = load_train_state(p.state);
-  nn::load_checkpoint(model, p.model);
-  if (hash_model(model) != st.model_hash)
-    throw std::runtime_error(
-        "train state: torn snapshot in " + dir +
-        " (weights and state are from different epochs -- the writer "
-        "crashed between the two files); restart from scratch or an older "
-        "snapshot");
+  nn::load_checkpoint(model, p.model, [&](uint64_t weights_hash) {
+    if (weights_hash != st.model_hash)
+      throw std::runtime_error(
+          "train state: torn snapshot in " + dir +
+          " (weights and state are from different epochs -- the writer "
+          "crashed between the two files); restart from scratch or an older "
+          "snapshot");
+  });
   return st;
 }
 

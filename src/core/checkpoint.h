@@ -47,16 +47,12 @@ struct TrainState {
   std::vector<int64_t> layer_ranks;
   compress::ReducerState reducer;
 
-  // FNV-1a over the model's parameter and buffer bytes at snapshot time.
-  // Stamped by save_snapshot, verified by load_snapshot: a crash between
+  // nn::checkpoint_hash of the model at snapshot time. Stamped by
+  // save_snapshot, verified by load_snapshot: a crash between
   // the model write and the state write leaves a detectably "torn" pair
   // (new weights, old state) instead of a silently wrong resume.
   uint64_t model_hash = 0;
 };
-
-// FNV-1a over every parameter and buffer tensor of `model` (depth-first,
-// the checkpoint order).
-uint64_t hash_model(nn::Module& model);
 
 // Snapshot / restore the optimizer part of the state. restore throws when
 // the snapshot's slot count or shapes do not match `opt` (resuming with a
@@ -86,7 +82,8 @@ bool snapshot_exists(const std::string& dir);
 void save_snapshot(nn::Module& model, TrainState st, const std::string& dir);
 
 // Loads the weights into `model` and returns the verified TrainState.
-// Throws on any corruption, including a torn pair (model_hash mismatch).
+// Throws on any corruption, including a torn pair (model_hash mismatch),
+// and leaves `model` untouched when it throws.
 TrainState load_snapshot(nn::Module& model, const std::string& dir);
 
 }  // namespace pf::core

@@ -1,7 +1,7 @@
 // Tape-free batched forwards shared by the trainer evaluation loops and the
 // serving engines (serve::FrozenModel / serve::FrozenLstm).
 //
-// Before this existed, evaluate_vision / evaluate_lm / mt_eval_ppl each
+// Before this existed, evaluate_vision / evaluate_lm / the MT evaluation each
 // open-coded the same NoGradGuard + train(false) + forward dance; a serving
 // path that re-implemented it a fourth time could silently drift (e.g. one
 // caller forgetting the guard and taping an eval forward). Everything that

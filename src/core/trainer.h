@@ -1,14 +1,16 @@
-// Algorithm 1 training harnesses for the three task families the paper
-// evaluates: image classification (SGD + momentum + step decay, optional
-// label smoothing / AMP), LSTM language modeling (plain SGD, grad clipping,
+// Algorithm 1 training for the three task families the paper evaluates:
+// image classification (SGD + momentum + step decay, optional label
+// smoothing / AMP), LSTM language modeling (plain SGD, grad clipping,
 // decay-on-plateau), and Transformer translation (Adam, label smoothing).
 //
-// Each harness implements the full Pufferfish procedure: train the vanilla
-// model for E_wu epochs, warm-start the hybrid via truncated SVD, fine-tune
-// the hybrid for the remaining epochs. Setting warmup_epochs == epochs (or
-// passing a null hybrid factory) degenerates to plain vanilla training;
-// warmup_epochs == 0 trains the low-rank model from scratch -- the three
-// arms of the paper's ablations (Tables 8/9/21/22).
+// All three run one schedule driver (trainer.cc, DESIGN.md §17): train the
+// vanilla model for E_wu epochs, warm-start the hybrid via truncated SVD,
+// fine-tune the hybrid for the remaining epochs. Setting warmup_epochs ==
+// epochs (or passing a null hybrid factory) degenerates to plain vanilla
+// training; warmup_epochs == 0 trains the low-rank model from scratch -- the
+// three arms of the paper's ablations (Tables 8/9/21/22). With epochs == 0
+// the untrained model is evaluated. Only VisionTrainConfig exposes the
+// driver's threads, tracing, snapshot/resume and refresh rounds.
 #pragma once
 
 #include <functional>

@@ -1,8 +1,5 @@
 #include "dist/cost_model.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace pf::dist {
 
 CostModel cost_model_from(const HardwareProfile& hw, int nodes) {
@@ -11,26 +8,6 @@ CostModel cost_model_from(const HardwareProfile& hw, int nodes) {
   cm.bandwidth_bytes_per_s = hw.bandwidth_bytes_per_s;
   cm.latency_s = hw.alpha_s;
   return cm;
-}
-
-double ddp_epoch_seconds(double compute_s, int64_t grad_bytes,
-                         const CostModel& cm, int64_t bucket_bytes) {
-  // Split compute into forward (~1/3) and backward (~2/3, producing
-  // gradients last-layer-first). Buckets become ready uniformly across the
-  // backward pass and are communicated on a single serial channel.
-  const double fwd = compute_s / 3.0;
-  const double bwd = compute_s - fwd;
-  const int n_buckets = std::max<int64_t>(
-      1, (grad_bytes + bucket_bytes - 1) / bucket_bytes);
-  const int64_t per_bucket = grad_bytes / n_buckets;
-  double channel_free = fwd;  // comm can start once the first bucket is ready
-  for (int i = 0; i < n_buckets; ++i) {
-    const double ready = fwd + bwd * static_cast<double>(i + 1) / n_buckets;
-    const double start = std::max(ready, channel_free);
-    channel_free = start + cm.allreduce_seconds(per_bucket, 1);
-  }
-  // Epoch ends when both compute and the last bucket's comm are done.
-  return std::max(fwd + bwd, channel_free);
 }
 
 }  // namespace pf::dist

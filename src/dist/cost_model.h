@@ -45,12 +45,4 @@ struct CostModel {
 // Projects a HardwareProfile's inter-node link onto the closed-form model.
 CostModel cost_model_from(const HardwareProfile& hw, int nodes);
 
-// PyTorch-DDP-style bucketed overlap: backward produces gradient buckets of
-// `bucket_bytes` which are allreduced while later layers still compute.
-// Returns the modeled epoch time given the measured per-epoch compute time
-// (forward+backward) and the total gradient bytes.
-double ddp_epoch_seconds(double compute_s, int64_t grad_bytes,
-                         const CostModel& cm,
-                         int64_t bucket_bytes = 25 << 20);
-
 }  // namespace pf::dist

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,11 +35,19 @@ std::vector<Tensor*> checkpoint_tensors(Module& module);
 void save_checkpoint(Module& module, const std::string& path,
                      int version = kCheckpointVersion);
 
+// Chained FNV-1a over every checkpoint tensor's float bytes
+// (checkpoint_tensors order, tensor boundaries counted): the content hash
+// training snapshots stamp to detect a torn weights/state pair.
+uint64_t checkpoint_hash(Module& module);
+
 // Loads a checkpoint written by save_checkpoint (either version) into a
 // structurally identical module tree. Throws std::runtime_error on I/O
 // failure, magic / version / checksum / shape / count mismatch; the module
 // is only written once the whole file has been validated against it.
-void load_checkpoint(Module& module, const std::string& path);
+// `verify`, when given, runs after that validation and before the write,
+// with the file's checkpoint_hash; if it throws, the module is untouched.
+void load_checkpoint(Module& module, const std::string& path,
+                     const std::function<void(uint64_t)>& verify = {});
 
 // Older spellings of the io/artifact.h helpers.
 using io::atomic_write;

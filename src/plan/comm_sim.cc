@@ -43,8 +43,7 @@ double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
   const double B = bandwidth_bytes_per_s;
   switch (c) {
     case Coll::kAllreduce:
-      // Must stay expression-identical to dist::CostModel::allreduce_seconds
-      // so rank-ratio-1.0 plans reproduce the DDP prediction bitwise.
+      // Expression-identical to dist::CostModel::allreduce_seconds.
       return 2.0 * (pd - 1) * alpha_s + 2.0 * n * (pd - 1) / pd / B;
     case Coll::kReduceScatter:
       return (pd - 1) * alpha_s + n * (pd - 1) / pd / B;
@@ -118,8 +117,8 @@ double collective_seconds(Coll c, int64_t bytes, int p,
 double overlap_epoch_seconds(double compute_s, int64_t grad_bytes, int p,
                              const dist::HardwareProfile& hw,
                              int64_t bucket_bytes) {
-  // Mirrors dist::ddp_epoch_seconds step for step; the only difference is
-  // the per-bucket price, which here understands hierarchical profiles.
+  // Split compute into forward (~1/3) and backward (~2/3, producing
+  // gradients last-layer-first).
   const double fwd = compute_s / 3.0;
   const double bwd = compute_s - fwd;
   const int n_buckets = static_cast<int>(std::max<int64_t>(

@@ -54,12 +54,13 @@ double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
 double collective_seconds(Coll c, int64_t bytes, int p,
                           const dist::HardwareProfile& hw);
 
-// DDP bucketed-overlap epoch model over an arbitrary profile: the exact
-// schedule of dist::ddp_epoch_seconds (buckets ready uniformly across the
-// backward 2/3 of compute, one serial comm channel) but with each bucket
-// priced by collective_seconds(kAllreduce, ...), so it prices hierarchical
-// profiles too. On a flat profile it equals dist::ddp_epoch_seconds exactly
-// (asserted in tests/plan_test.cc).
+// PyTorch-DDP-style bucketed overlap, the repo's one DDP epoch model:
+// backward produces gradient buckets of `bucket_bytes` (ready uniformly
+// across the backward 2/3 of compute) that are allreduced on one serial
+// channel while later layers still compute. Each bucket is priced by
+// collective_seconds(kAllreduce, ...), so hierarchical profiles work too.
+// Returns the modeled epoch time given the per-epoch compute time
+// (forward + backward) and the total gradient bytes.
 double overlap_epoch_seconds(double compute_s, int64_t grad_bytes, int p,
                              const dist::HardwareProfile& hw,
                              int64_t bucket_bytes = 25 << 20);

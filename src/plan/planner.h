@@ -96,7 +96,7 @@ struct Plan {
 
 // Modeled epoch seconds for one configuration point -- exposed so tests can
 // pin the degeneracy (vanilla + allreduce + flat profile == steps *
-// dist::ddp_epoch_seconds, the prediction bench_fig4_distributed prints)
+// overlap_epoch_seconds, the prediction bench_fig4_distributed prints)
 // and monotonicity properties. `compute_override_s` > 0 replaces the
 // flops-derived per-step compute.
 double modeled_epoch_seconds(const ModelCosts& costs, const MethodCosts& mc,

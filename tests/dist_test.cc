@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "models/resnet.h"
+#include "plan/comm_sim.h"
 
 namespace pf::dist {
 namespace {
@@ -51,28 +52,26 @@ TEST(CostModel, CompressedAllgatherCanStillLose) {
 }
 
 TEST(DdpOverlap, BoundedBelowByComputeAndComm) {
-  CostModel cm;
-  cm.nodes = 8;
+  const HardwareProfile hw = HardwareProfile::cloud_10g();
   const double compute = 1.0;
   const int64_t bytes = 100 << 20;
-  const double t = ddp_epoch_seconds(compute, bytes, cm);
+  const double t = plan::overlap_epoch_seconds(compute, bytes, 8, hw);
   EXPECT_GE(t, compute);
-  // Total is at most compute + full comm (no overlap at all).
-  EXPECT_LE(t, compute + cm.allreduce_seconds(bytes, 4) + 1e-6);
+  // Total is at most compute + full comm (no overlap at all): 4 buckets.
+  EXPECT_LE(t, compute + cost_model_from(hw, 8).allreduce_seconds(bytes, 4) +
+                   1e-6);
 }
 
 TEST(DdpOverlap, SmallGradsFullyHidden) {
-  CostModel cm;
-  cm.nodes = 4;
-  const double t = ddp_epoch_seconds(10.0, 1 << 20, cm);
+  const double t = plan::overlap_epoch_seconds(
+      10.0, 1 << 20, 4, HardwareProfile::cloud_10g());
   EXPECT_NEAR(t, 10.0, 0.05);
 }
 
 TEST(DdpOverlap, SmallerModelNeverSlower) {
-  CostModel cm;
-  cm.nodes = 16;
-  const double t_big = ddp_epoch_seconds(1.0, 100 << 20, cm);
-  const double t_small = ddp_epoch_seconds(0.7, 60 << 20, cm);
+  const HardwareProfile hw = HardwareProfile::cloud_10g();
+  const double t_big = plan::overlap_epoch_seconds(1.0, 100 << 20, 16, hw);
+  const double t_small = plan::overlap_epoch_seconds(0.7, 60 << 20, 16, hw);
   EXPECT_LT(t_small, t_big);
 }
 

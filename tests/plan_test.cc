@@ -109,19 +109,6 @@ TEST(PlanCommSim, HierarchicalIsBoundedByFlatExtremes) {
                                           hw.intra_bandwidth_bytes_per_s));
 }
 
-TEST(PlanCommSim, OverlapEpochEqualsDdpModelOnFlatProfile) {
-  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
-  for (int p : {4, 16}) {
-    const dist::CostModel cm = dist::cost_model_from(hw, p);
-    for (int64_t bytes : {int64_t{5} << 20, int64_t{44} << 20}) {
-      for (double compute : {0.05, 1.5}) {
-        EXPECT_EQ(plan::overlap_epoch_seconds(compute, bytes, p, hw),
-                  dist::ddp_epoch_seconds(compute, bytes, cm));
-      }
-    }
-  }
-}
-
 // --- shared hardware constants (satellite 1) --------------------------
 
 TEST(PlanHardware, DefaultsShareOneSetOfConstants) {
@@ -254,7 +241,8 @@ TEST(PlanPlanner, FasterLinksNeverIncreaseModeledTime) {
 
 TEST(PlanPlanner, VanillaDegeneratesToDdpPrediction) {
   // rank ratio 1.0 + plain allreduce + flat profile must reproduce the
-  // bench_fig4_distributed vanilla prediction: steps x ddp_epoch_seconds.
+  // bench_fig4_distributed vanilla prediction: steps x
+  // overlap_epoch_seconds.
   const plan::ModelCosts costs =
       plan::describe_model("resnet18", 1.0, 10, 32, 1.0, 0);
   const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
@@ -268,8 +256,7 @@ TEST(PlanPlanner, VanillaDegeneratesToDdpPrediction) {
   const double steps = images / (static_cast<double>(p) * batch);
   const double expected =
       steps *
-      dist::ddp_epoch_seconds(compute, costs.grad_bytes(),
-                              dist::cost_model_from(hw, p), bucket);
+      plan::overlap_epoch_seconds(compute, costs.grad_bytes(), p, hw, bucket);
   EXPECT_NEAR(modeled, expected, 1e-12 * expected);
 }
 

@@ -174,7 +174,14 @@ TEST(Resume, TornSnapshotIsDetected) {
   nn::save_checkpoint(*other, snapshot_paths(dir).model);
   Rng rng3(1);
   auto loaded = resnet_factory(false)(rng3);
+  const Tensor before = loaded->flat_params();
   EXPECT_THROW(load_snapshot(*loaded, dir), std::runtime_error);
+  // All-or-nothing: the torn pair is caught before any weight is written.
+  const Tensor after = loaded->flat_params();
+  ASSERT_EQ(before.numel(), after.numel());
+  EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                        static_cast<size_t>(before.numel()) * sizeof(float)),
+            0);
   std::filesystem::remove_all(dir);
 }
 

@@ -16,6 +16,7 @@
 
 #include "compress/compressor.h"
 #include "core/checkpoint.h"
+#include "core/trainer.h"
 #include "dist/cluster.h"
 #include "models/resnet.h"
 #include "runtime/shm_cluster.h"
@@ -359,6 +360,68 @@ TEST(TrainDeterminism, TrainVisionBitwiseIdenticalAcrossThreadCounts) {
             0);
   std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir4);
+}
+
+TEST(TrainDeterminism, LmAndMtBitwiseIdenticalAcrossThreadCounts) {
+  ThreadGuard tg;
+  // The LM and MT tasks run the same schedule driver as vision: warm-up,
+  // SVD warm start, fine-tune. Every reported number must match bit for bit.
+  data::SyntheticCorpus::Config cc;
+  cc.vocab = 40;
+  cc.train_tokens = 600;
+  cc.valid_tokens = 150;
+  cc.test_tokens = 150;
+  const data::SyntheticCorpus corpus(cc);
+  core::LmTrainConfig lm;
+  lm.epochs = 2;
+  lm.warmup_epochs = 1;
+  lm.batch = 5;
+  lm.bptt = 8;
+  lm.lr = 2.0f;
+  lm.seed = 3;
+  auto lm_factory = [](int64_t rank) {
+    return [rank](Rng& rng) {
+      models::LstmLmConfig c = models::LstmLmConfig::tiny(rank);
+      c.vocab = 40;
+      c.hidden = 24;
+      return std::make_unique<models::LstmLm>(c, rng);
+    };
+  };
+  data::SyntheticTranslation::Config tc;
+  tc.train_pairs = 16;
+  tc.test_pairs = 8;
+  tc.min_len = 3;
+  tc.max_len = 6;
+  const data::SyntheticTranslation pairs(tc);
+  core::MtTrainConfig mt;
+  mt.epochs = 2;
+  mt.warmup_epochs = 1;
+  mt.batch = 8;
+  mt.seed = 5;
+  auto mt_factory = [](int first_lowrank) {
+    return [first_lowrank](Rng& rng) {
+      return std::make_unique<models::TransformerMT>(
+          models::TransformerConfig::tiny(first_lowrank), rng);
+    };
+  };
+
+  auto run = [&](int threads) {
+    runtime::set_threads(threads);
+    return std::make_pair(
+        core::train_lm(lm_factory(0), lm_factory(6), corpus, lm),
+        core::train_mt(mt_factory(0), mt_factory(2), pairs, mt));
+  };
+  const auto [lm1, mt1] = run(1);
+  const auto [lm4, mt4] = run(4);
+  ASSERT_EQ(lm1.val_ppl_series.size(), 2u);
+  ASSERT_EQ(lm4.val_ppl_series.size(), 2u);
+  for (size_t e = 0; e < 2; ++e)
+    EXPECT_EQ(lm1.val_ppl_series[e], lm4.val_ppl_series[e]) << "epoch " << e;
+  EXPECT_EQ(lm1.val_ppl, lm4.val_ppl);
+  EXPECT_EQ(lm1.test_ppl, lm4.test_ppl);
+  EXPECT_EQ(mt1.val_ppl, mt4.val_ppl);
+  EXPECT_EQ(mt1.bleu, mt4.bleu);
+  EXPECT_EQ(mt1.train_ppl, mt4.train_ppl);
 }
 
 }  // namespace

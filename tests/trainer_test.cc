@@ -156,6 +156,21 @@ TEST(TrainLm, PufferfishSwitchesAndShrinks) {
   EXPECT_LT(r.params, rv.params);
 }
 
+TEST(TrainLm, WarmupZeroTrainsLowRankFromScratch) {
+  auto corpus = tiny_corpus();
+  LmTrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.warmup_epochs = 0;
+  cfg.batch = 5;
+  cfg.bptt = 8;
+  cfg.lr = 2.0f;
+  LmResult r = train_lm(lm_factory(0), lm_factory(6), corpus, cfg);
+  EXPECT_EQ(r.svd_seconds, 0.0);  // no SVD: trained from scratch
+  Rng rng(1);
+  EXPECT_EQ(r.params, lm_factory(6)(rng)->num_params());
+  EXPECT_EQ(r.val_ppl_series.size(), 2u);
+}
+
 // ---- MT harness. ----
 
 MtModelFactory mt_factory(int first_lowrank) {
@@ -195,6 +210,52 @@ TEST(TrainMt, PufferfishPathRuns) {
   EXPECT_GT(r.svd_seconds, 0.0);
   EXPECT_GT(r.params, 0);
   EXPECT_TRUE(std::isfinite(r.train_ppl));
+}
+
+TEST(TrainMt, WarmupZeroTrainsLowRankFromScratch) {
+  auto ds = tiny_mt();
+  MtTrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.warmup_epochs = 0;
+  cfg.batch = 8;
+  MtResult r = train_mt(mt_factory(0), mt_factory(2), ds, cfg);
+  EXPECT_EQ(r.svd_seconds, 0.0);  // no SVD: trained from scratch
+  Rng rng(1);
+  EXPECT_EQ(r.params, mt_factory(2)(rng)->num_params());
+  EXPECT_TRUE(std::isfinite(r.train_ppl));
+}
+
+// No epoch runs: the driver evaluates the model as the factories built it
+// (the vanilla one: warm-up has not ended).
+TEST(TrainLm, ZeroEpochsEvaluateTheUntrainedModel) {
+  auto corpus = tiny_corpus();
+  LmTrainConfig cfg;
+  cfg.epochs = 0;
+  cfg.batch = 5;
+  cfg.bptt = 8;
+  cfg.seed = 4;
+  LmResult r = train_lm(lm_factory(0), lm_factory(6), corpus, cfg);
+  Rng rng(cfg.seed * 0x9E3779B9u + 31);  // train_lm's stream
+  auto untrained = lm_factory(0)(rng);
+  EXPECT_TRUE(r.val_ppl_series.empty());
+  EXPECT_EQ(r.val_ppl,
+            evaluate_lm(*untrained, corpus.valid(), cfg.batch, cfg.bptt));
+  EXPECT_EQ(r.test_ppl,
+            evaluate_lm(*untrained, corpus.test(), cfg.batch, cfg.bptt));
+  EXPECT_EQ(r.params, untrained->num_params());
+  EXPECT_EQ(r.svd_seconds, 0.0);
+
+  auto ds = tiny_mt();
+  MtTrainConfig mcfg;
+  mcfg.epochs = 0;
+  mcfg.batch = 8;
+  MtResult m = train_mt(mt_factory(0), mt_factory(2), ds, mcfg);
+  Rng mrng(0);
+  EXPECT_EQ(m.params, mt_factory(0)(mrng)->num_params());
+  EXPECT_TRUE(std::isfinite(m.val_ppl));
+  EXPECT_GT(m.val_ppl, 1.0);
+  EXPECT_GE(m.bleu, 0.0);
+  EXPECT_LE(m.bleu, 100.0);
 }
 
 // ---------------- EpochBreakdown accounting ----------------
