@@ -18,6 +18,9 @@ int main() {
          "Pufferfish Section 4.1 communication accounting (Thakur et al.)",
          "none -- two independent models of the same collective");
 
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
+  const dist::RingLink link = dist::link_from(hw);
+
   std::printf("(a) closed form vs event simulation, homogeneous 10 Gbps "
               "links:\n");
   {
@@ -25,11 +28,10 @@ int main() {
                       "event sim (ms)", "diff"});
     for (int p : {2, 4, 8, 16}) {
       for (int64_t bytes : {int64_t{1} << 20, int64_t{97} << 20}) {
-        dist::CostModel cm;
-        cm.nodes = p;
-        const double closed = cm.allreduce_seconds(bytes, 1);
+        const double closed =
+            dist::collective_seconds(dist::Coll::kAllreduce, bytes, p, hw);
         const dist::RingSimResult sim =
-            dist::simulate_ring_allreduce(bytes, p, {dist::RingLink{}});
+            dist::simulate_ring_allreduce(bytes, p, {link});
         t.add_row({std::to_string(p), metrics::fmt_bytes(bytes),
                    metrics::fmt(1e3 * closed, 3),
                    metrics::fmt(1e3 * sim.makespan_s, 3),
@@ -52,7 +54,7 @@ int main() {
     models::ResNet50 rp(models::ResNetImageNetConfig::resnet50_pufferfish(),
                         rng);
     const int p = 16;
-    std::vector<dist::RingLink> slow(static_cast<size_t>(p));
+    std::vector<dist::RingLink> slow(static_cast<size_t>(p), link);
     slow[5].bandwidth_bytes_per_s /= 2;
 
     metrics::Table t({"model", "healthy ring (ms)", "straggler ring (ms)",
@@ -63,8 +65,7 @@ int main() {
           std::pair<const char*, int64_t>{"Pufferfish ResNet-50",
                                           rp.num_params() * 4}}) {
       const double healthy =
-          dist::simulate_ring_allreduce(bytes, p, {dist::RingLink{}})
-              .makespan_s;
+          dist::simulate_ring_allreduce(bytes, p, {link}).makespan_s;
       const double degraded =
           dist::simulate_ring_allreduce_pipelined(bytes, p, slow).makespan_s;
       t.add_row({name, metrics::fmt(1e3 * healthy, 2),

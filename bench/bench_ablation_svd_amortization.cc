@@ -21,8 +21,7 @@ int main() {
          "ResNet-18");
 
   data::SyntheticImages ds = cifar_like(10, 16, 192, 96);
-  dist::CostModel cm;
-  cm.nodes = 8;
+  const int nodes = 8;
   dist::DistTrainConfig cfg;
   cfg.epochs = 2;
   cfg.global_batch = 64;
@@ -34,10 +33,10 @@ int main() {
     Rng rng(3);
     dist::DataParallelTrainer trainer(
         make_resnet18(0.125, 0)(rng),
-        std::make_unique<compress::AtomoReducer>(4, 7), cm, cfg);
+        std::make_unique<compress::AtomoReducer>(4, 7), nodes, cfg);
     for (int e = 0; e < cfg.epochs; ++e) {
       dist::DistEpochRecord rec = trainer.train_epoch(ds, e);
-      atomo_encode_s += rec.breakdown.encode_s * cm.nodes;  // total work
+      atomo_encode_s += rec.breakdown.encode_s * nodes;  // total work
     }
   }
 
@@ -56,7 +55,7 @@ int main() {
                     "SVDs performed"});
   const int64_t steps = 2 * (192 / 64);
   t.add_row({"ATOMO (per-step spectral)", metrics::fmt(atomo_encode_s, 3),
-             std::to_string(steps * cm.nodes) + " steps x matrices"});
+             std::to_string(steps * nodes) + " steps x matrices"});
   t.add_row({"Pufferfish (one-time warm start)",
              metrics::fmt(pufferfish_svd_s, 3), "once per training run"});
   t.print();

@@ -53,7 +53,7 @@ struct ArmResult {
 
 ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
                   const core::VisionModelFactory& hf,
-                  const data::SyntheticImages& ds, dist::CostModel cm,
+                  const data::SyntheticImages& ds, int nodes,
                   const dist::DistTrainConfig& cfg, int warmup_epochs,
                   const core::RankPolicy& policy) {
   Rng rng(13);
@@ -63,7 +63,7 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
         spec.vg_threshold, /*warmup_steps=*/4);
   else
     warm_reducer = std::make_unique<compress::AllreduceReducer>();
-  dist::DataParallelTrainer trainer(vf(rng), std::move(warm_reducer), cm,
+  dist::DataParallelTrainer trainer(vf(rng), std::move(warm_reducer), nodes,
                                     cfg);
   ArmResult out;
   out.name = spec.name;
@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
   const int warmup = g_smoke ? 1 : 2;
   const int reproject_every = 2;
 
-  dist::CostModel cm;
-  cm.nodes = 8;
+  const int nodes = 8;
   dist::DistTrainConfig cfg;
   cfg.epochs = g_smoke ? 4 : 8;
   cfg.global_batch = g_smoke ? 32 : 64;
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
   };
   std::vector<ArmResult> arms;
   for (const ArmSpec& s : specs)
-    arms.push_back(run_arm(s, vf, hf, ds, cm, cfg, warmup, policy));
+    arms.push_back(run_arm(s, vf, hf, ds, nodes, cfg, warmup, policy));
 
   const ArmResult& fixed = arms[1];
   metrics::Table t({"arm", "final acc (%)", "bytes/worker (total)",

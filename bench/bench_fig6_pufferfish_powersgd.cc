@@ -18,8 +18,7 @@ int main() {
          "ResNet-18/CIFAR-10, 8 nodes -> scaled model on CIFAR-like task");
 
   data::SyntheticImages ds = cifar_like(10, 16, 192, 96);
-  dist::CostModel cm;
-  cm.nodes = 8;
+  const int nodes = 8;
   dist::DistTrainConfig cfg;
   cfg.epochs = 9;
   cfg.global_batch = 64;
@@ -59,7 +58,7 @@ int main() {
     }
     Rng rng(29);
     dist::DataParallelTrainer trainer(make_resnet18(0.125, 0)(rng),
-                                      arm.reducer(), cm, acfg);
+                                      arm.reducer(), nodes, acfg);
     dist::DistEpochRecord last;
     for (int e = 0; e < acfg.epochs; ++e) {
       if (arm.pufferfish && e == kSwitch) {

@@ -25,8 +25,6 @@ int main() {
 
   std::printf("per-epoch breakdown at 16 nodes:\n");
   {
-    dist::CostModel cm;
-    cm.nodes = 16;
     struct Arm {
       std::string name;
       bool pufferfish;
@@ -46,7 +44,7 @@ int main() {
       Rng rng(37);
       dist::DataParallelTrainer trainer(
           make_resnet50(0.125, arm.pufferfish)(rng), std::move(arm.reducer),
-          cm, cfg);
+          /*nodes=*/16, cfg);
       dist::DistEpochRecord rec = trainer.train_epoch(ds, 0);
       const dist::EpochBreakdown& b = rec.breakdown;
       if (arm.name == "binary quantization") {
@@ -68,12 +66,10 @@ int main() {
     metrics::Table t({"nodes", "decode (s)", "decode per node (s)"});
     double first_decode = 0, last_decode = 0;
     for (int nodes : {2, 4, 8, 16}) {
-      dist::CostModel cm;
-      cm.nodes = nodes;
       Rng rng(41);
       dist::DataParallelTrainer trainer(
           make_resnet50(0.125, false)(rng),
-          std::make_unique<compress::BinaryQuantReducer>(11), cm, cfg);
+          std::make_unique<compress::BinaryQuantReducer>(11), nodes, cfg);
       dist::DistEpochRecord rec = trainer.train_epoch(ds, 0);
       if (nodes == 2) first_decode = rec.breakdown.decode_s;
       last_decode = rec.breakdown.decode_s;

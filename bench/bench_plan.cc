@@ -19,7 +19,6 @@
 #include "common.h"
 #include "kernels/kernels.h"
 #include "plan/calibrate.h"
-#include "plan/comm_sim.h"
 #include "plan/planner.h"
 #include "plan/serve_density.h"
 #include "runtime/shm_cluster.h"

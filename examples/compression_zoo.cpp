@@ -39,8 +39,7 @@ int main() {
   Tensor exact(grad.shape());
   for (const Tensor& g : grads) exact.add_(g, 0.25f);
 
-  dist::CostModel cm;
-  cm.nodes = 16;
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
 
   std::vector<std::unique_ptr<compress::Reducer>> reducers;
   reducers.push_back(std::make_unique<compress::AllreduceReducer>());
@@ -61,15 +60,12 @@ int main() {
     Tensor diff = agg - exact;
     const double rel = diff.norm() / exact.norm();
     const double comm =
-        stats.collective == compress::Collective::kAllreduce
-            ? cm.allreduce_seconds(stats.payload_bytes_per_worker,
-                                   stats.n_messages)
-            : cm.allgather_seconds(stats.payload_bytes_per_worker,
-                                   stats.n_messages);
+        dist::collective_seconds(stats.collective,
+                                 stats.payload_bytes_per_worker, 16, hw,
+                                 stats.n_messages);
     table.add_row(
         {r->name(), metrics::fmt_bytes(stats.payload_bytes_per_worker),
-         stats.collective == compress::Collective::kAllreduce ? "allreduce"
-                                                              : "allgather",
+         dist::coll_name(stats.collective),
          metrics::fmt(rel, 3), metrics::fmt(comm * 1e3, 3) + " ms"});
   }
   table.print();

@@ -34,8 +34,7 @@ int main() {
   dc.test_size = 64;
   data::SyntheticImages dataset(dc);
 
-  dist::CostModel cm;
-  cm.nodes = 16;  // p3.2xlarge-style cluster, 10 Gbps links
+  const int nodes = 16;  // p3.2xlarge-style cluster, 10 Gbps links
 
   dist::DistTrainConfig cfg;
   cfg.epochs = 2;
@@ -64,7 +63,7 @@ int main() {
               " model @10 Gbps)\n\n");
   for (Arm& arm : arms) {
     dist::DataParallelTrainer trainer(make_model(arm.pufferfish),
-                                      std::move(arm.reducer), cm, cfg);
+                                      std::move(arm.reducer), nodes, cfg);
     dist::DistEpochRecord rec = trainer.train_epoch(dataset, 0);
     const dist::EpochBreakdown& b = rec.breakdown;
     table.add_row({arm.name, metrics::fmt(b.compute_s, 3),

@@ -54,7 +54,7 @@ Tensor AllreduceReducer::reduce(const std::vector<Tensor>& grads,
   Tensor out = mean_of(grads);
   if (stats) {
     stats->payload_bytes_per_worker = grads[0].numel() * 4;
-    stats->collective = Collective::kAllreduce;
+    stats->collective = dist::Coll::kAllreduce;
     stats->n_messages = 1;  // flat-buffer packing (paper Section 4.1)
     stats->encode_seconds = 0;
     stats->decode_seconds = t.seconds();  // the local summation stand-in
@@ -160,7 +160,7 @@ Tensor PowerSgdReducer::reduce(const std::vector<Tensor>& grads,
 
   if (stats) {
     stats->payload_bytes_per_worker = payload;
-    stats->collective = Collective::kAllreduce;
+    stats->collective = dist::Coll::kAllreduce;
     stats->n_messages = 2;  // P round + Q round (both packed flat)
     stats->encode_seconds = encode_s * 1.0;  // total across workers
     stats->decode_seconds = decode_s;
@@ -243,7 +243,7 @@ Tensor SignumReducer::reduce(const std::vector<Tensor>& grads,
   if (stats) {
     stats->payload_bytes_per_worker =
         (n + 7) / 8 + (error_feedback_ ? 4 : 0);  // + the scale float
-    stats->collective = Collective::kAllgather;
+    stats->collective = dist::Coll::kAllgather;
     stats->n_messages = 1;
     stats->encode_seconds = encode_s;
     stats->decode_seconds = decode_s;  // one worker's majority-vote decode
@@ -342,7 +342,7 @@ Tensor TopKReducer::reduce(const std::vector<Tensor>& grads,
 
   if (stats) {
     stats->payload_bytes_per_worker = k * 8;  // 4B index + 4B value
-    stats->collective = Collective::kAllgather;
+    stats->collective = dist::Coll::kAllgather;
     stats->n_messages = 1;
     stats->encode_seconds = encode_s;
     stats->decode_seconds = decode_s;
@@ -450,7 +450,7 @@ Tensor BinaryQuantReducer::reduce(const std::vector<Tensor>& grads,
   if (stats) {
     stats->payload_bytes_per_worker =
         (n + 7) / 8 + 8 * static_cast<int64_t>(segments.size());
-    stats->collective = Collective::kAllgather;
+    stats->collective = dist::Coll::kAllgather;
     stats->n_messages = 1;
     stats->encode_seconds = encode_s;
     stats->decode_seconds = decode_s;
@@ -554,7 +554,7 @@ Tensor AtomoReducer::reduce(const std::vector<Tensor>& grads,
 
   if (stats) {
     stats->payload_bytes_per_worker = payload;
-    stats->collective = Collective::kAllgather;  // triplets don't sum
+    stats->collective = dist::Coll::kAllgather;  // triplets don't sum
     stats->n_messages = 1;
     stats->encode_seconds = encode_s;
     stats->decode_seconds = decode_s;

@@ -7,7 +7,7 @@
 // encoding is compatible with (the paper leans on allreduce-vs-allgather:
 // sign/sparse encodings do not sum, so they must be allgathered and decoded
 // per peer), and (c) measured encode/decode wall-clock. The distributed
-// simulator combines these with the alpha-beta cost model to produce the
+// simulator prices (a) and (b) with dist::collective_seconds to produce the
 // per-epoch breakdowns of Fig. 4.
 //
 // Contract for the time fields: `encode_seconds` is the total across all
@@ -22,16 +22,15 @@
 #include <string>
 #include <vector>
 
+#include "dist/cost_model.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 
 namespace pf::compress {
 
-enum class Collective { kAllreduce, kAllgather };
-
 struct ReduceStats {
   int64_t payload_bytes_per_worker = 0;
-  Collective collective = Collective::kAllreduce;
+  dist::Coll collective = dist::Coll::kAllreduce;
   int n_messages = 1;  // collective invocations this step
   double encode_seconds = 0;
   double decode_seconds = 0;

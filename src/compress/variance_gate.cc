@@ -102,7 +102,7 @@ Tensor VarianceGateReducer::reduce(const std::vector<Tensor>& grads,
     stats->payload_bytes_per_worker =
         sent_floats * 4 +
         (static_cast<int64_t>(segments.size()) + 7) / 8;
-    stats->collective = Collective::kAllreduce;
+    stats->collective = dist::Coll::kAllreduce;
     stats->n_messages = 1;
     stats->encode_seconds = encode_s;
     stats->decode_seconds = 0;  // dense floats need no per-peer decode

@@ -29,17 +29,11 @@ ShardRange shard_range(int64_t batch, int lanes, int lane) {
 
 DataParallelTrainer::DataParallelTrainer(
     std::unique_ptr<nn::UnaryModule> model,
-    std::unique_ptr<compress::Reducer> reducer, CostModel cost_model,
+    std::unique_ptr<compress::Reducer> reducer, int nodes,
     const DistTrainConfig& cfg)
-    : model_(std::move(model)),
-      reducer_(std::move(reducer)),
-      cm_(cost_model),
-      cfg_(cfg) {
+    : reducer_(std::move(reducer)), nodes_(nodes), cfg_(cfg) {
   if (cfg.threads > 0) runtime::set_threads(cfg.threads);
-  opt_ = std::make_unique<optim::SGD>(model_->parameters(), cfg.lr,
-                                      cfg.momentum, cfg.weight_decay);
-  for (nn::Param* p : model_->parameters())
-    param_shapes_.push_back(p->var->value.shape());
+  replace_model(std::move(model), nullptr);
 }
 
 void DataParallelTrainer::replace_model(
@@ -57,7 +51,7 @@ void DataParallelTrainer::replace_model(
 DistEpochRecord DataParallelTrainer::train_epoch(
     const data::SyntheticImages& ds, int epoch) {
   PF_TRACE_SCOPE_C("dist.epoch", epoch);
-  const int nodes = cm_.nodes;
+  const int nodes = nodes_;
 
   opt_->set_lr(lr_at_epoch(cfg_, epoch));
 
@@ -104,11 +98,8 @@ DistEpochRecord DataParallelTrainer::train_epoch(
     rec.breakdown.encode_s += stats.encode_seconds / nodes;
     rec.breakdown.decode_s += stats.decode_seconds;
     rec.breakdown.comm_s +=
-        stats.collective == compress::Collective::kAllreduce
-            ? cm_.allreduce_seconds(stats.payload_bytes_per_worker,
-                                    stats.n_messages)
-            : cm_.allgather_seconds(stats.payload_bytes_per_worker,
-                                    stats.n_messages);
+        collective_seconds(stats.collective, stats.payload_bytes_per_worker,
+                           nodes, hw_, stats.n_messages);
     rec.breakdown.bytes_per_worker = stats.payload_bytes_per_worker;
     cumulative_bytes_ += stats.payload_bytes_per_worker;
 

@@ -4,8 +4,9 @@
 // Each step the global batch is sharded across `nodes` workers; every worker
 // computes a real gradient on its shard (executed sequentially here, timed,
 // then divided by `nodes` since real workers run in parallel); the chosen
-// Reducer produces real encoded payloads whose byte counts feed the
-// alpha-beta CostModel. The result is the per-epoch compute / encode /
+// Reducer produces real encoded payloads whose byte counts are priced by
+// dist::collective_seconds (cost_model.h) on HardwareProfile::cloud_10g(),
+// the paper's 10 Gbps cluster. The result is the per-epoch compute / encode /
 // communicate / decode breakdown of the paper's Figure 4, plus a faithful
 // training trajectory (the aggregated gradient actually updates the model).
 #pragma once
@@ -48,7 +49,7 @@ struct DistEpochRecord {
 
 struct DistTrainConfig {
   int epochs = 8;
-  int64_t global_batch = 64;  // sharded evenly over cm.nodes
+  int64_t global_batch = 64;  // sharded evenly over the nodes
   float lr = 0.05f;
   float momentum = 0.9f;
   float weight_decay = 1e-4f;
@@ -86,7 +87,7 @@ class DataParallelTrainer {
  public:
   DataParallelTrainer(std::unique_ptr<nn::UnaryModule> model,
                       std::unique_ptr<compress::Reducer> reducer,
-                      CostModel cost_model, const DistTrainConfig& cfg);
+                      int nodes, const DistTrainConfig& cfg);
 
   // Runs one epoch over the dataset; returns loss/accuracy/breakdown.
   DistEpochRecord train_epoch(const data::SyntheticImages& ds, int epoch);
@@ -114,7 +115,8 @@ class DataParallelTrainer {
  private:
   std::unique_ptr<nn::UnaryModule> model_;
   std::unique_ptr<compress::Reducer> reducer_;
-  CostModel cm_;
+  int nodes_;
+  HardwareProfile hw_ = HardwareProfile::cloud_10g();
   DistTrainConfig cfg_;
   std::unique_ptr<optim::SGD> opt_;
   std::vector<Shape> param_shapes_;

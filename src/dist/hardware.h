@@ -1,11 +1,7 @@
-// HardwareProfile: one description of a cluster's links and compute that
-// every communication model in the repo derives its constants from.
-//
-// Before this header existed, dist::CostModel and dist::RingLink each
-// hardcoded "10 Gbps / 50 us" independently; calibration (src/plan) would
-// have had to update both. Now the shared defaults live here once:
-// CostModel and RingLink default-construct from kDefaultLink*, and
-// cost_model_from / link_from project a full profile onto them.
+// HardwareProfile: one description of a cluster's links and compute. Its
+// member initializers are the repo's only link constants: the alpha-beta
+// model (cost_model.h) prices collectives over a profile, and the ring
+// event simulation takes its links from one via link_from (ring_sim.h).
 //
 // A profile describes a two-level topology: `workers_per_node` ranks share
 // a fast intra-node link; nodes talk over the slower inter-node link.
@@ -21,17 +17,14 @@
 
 namespace pf::dist {
 
-// The single source of the repo-wide default link constants (EC2
-// p3.2xlarge-class: 10 Gbps ethernet, 50 us per ring step).
-inline constexpr double kDefaultLinkLatencyS = 50e-6;
-inline constexpr double kDefaultLinkBandwidthBytesPerS = 10e9 / 8;
-
 struct HardwareProfile {
   std::string name = "cloud-10g";
 
-  // Inter-node link (the only link of a flat topology).
-  double alpha_s = kDefaultLinkLatencyS;
-  double bandwidth_bytes_per_s = kDefaultLinkBandwidthBytesPerS;
+  // Inter-node link (the only link of a flat topology). The defaults are
+  // the paper's EC2 p3.2xlarge cluster: 10 Gbps ethernet, 50 us per ring
+  // step.
+  double alpha_s = 50e-6;
+  double bandwidth_bytes_per_s = 10e9 / 8;
 
   // Intra-node link for two-level topologies (NVLink/shm class). Unused
   // while workers_per_node == 1.

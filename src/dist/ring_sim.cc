@@ -19,10 +19,7 @@ double transfer_time(const RingLink& l, int64_t bytes) {
 }  // namespace
 
 RingLink link_from(const HardwareProfile& hw) {
-  RingLink l;
-  l.latency_s = hw.alpha_s;
-  l.bandwidth_bytes_per_s = hw.bandwidth_bytes_per_s;
-  return l;
+  return {hw.alpha_s, hw.bandwidth_bytes_per_s};
 }
 
 RingSimResult simulate_ring_allreduce(int64_t bytes, int p,

@@ -1,6 +1,6 @@
 // Discrete-event simulation of the ring collectives.
 //
-// The cluster trainer prices communication with the closed-form alpha-beta
+// The repo prices communication with the closed-form alpha-beta
 // expressions in cost_model.h. This module validates those formulas from
 // first principles: it simulates the actual ring schedule -- reduce-scatter
 // then allgather, 2(p-1) steps of one chunk each over point-to-point links
@@ -17,15 +17,15 @@
 
 namespace pf::dist {
 
+// One point-to-point ring link. It has no defaults: take one from a profile
+// with link_from, so the event simulation and cost_model.h price the same
+// link.
 struct RingLink {
-  // Defaults derive from the shared HardwareProfile constants (hardware.h);
-  // they must stay in lockstep with CostModel's for the closed-form vs
-  // event-sim cross-check (tests/plan_test.cc) to be meaningful.
-  double latency_s = kDefaultLinkLatencyS;
-  double bandwidth_bytes_per_s = kDefaultLinkBandwidthBytesPerS;
+  double latency_s;
+  double bandwidth_bytes_per_s;
 };
 
-// Projects a HardwareProfile's inter-node link onto a homogeneous ring link.
+// Projects a HardwareProfile's inter-node link onto a ring link.
 RingLink link_from(const HardwareProfile& hw);
 
 struct RingSimResult {

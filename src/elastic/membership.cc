@@ -4,24 +4,21 @@
 #include <stdexcept>
 #include <string>
 
+#include "tensor/rng.h"
+
 namespace pf::elastic {
 
 namespace {
 
-// splitmix64 finalizer: the same mixing discipline fault::Plan and the
-// per-worker Rng derivation use, so one seed pins the whole chaos run.
-uint64_t mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-// Deterministic coin in [0, 1) from (seed, round, slot, salt).
+// Deterministic coin in [0, 1) from (seed, round, slot, salt), hashed with
+// the same splitmix64 as fault::Plan and Rng, so one seed pins the whole
+// chaos run.
 double coin(uint64_t seed, int round, int slot, uint64_t salt) {
-  uint64_t h = mix64(seed ^ salt);
-  h = mix64(h ^ (static_cast<uint64_t>(round) << 32 |
-                 static_cast<uint64_t>(static_cast<uint32_t>(slot))));
+  uint64_t s = seed ^ salt;
+  uint64_t t = splitmix64(s) ^
+               (static_cast<uint64_t>(round) << 32 |
+                static_cast<uint64_t>(static_cast<uint32_t>(slot)));
+  const uint64_t h = splitmix64(t);
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }
 

@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <atomic>
 
+#include "tensor/rng.h"
 #include "trace/trace.h"
 
 namespace pf::fault {
-
-namespace {
-
-// splitmix64: the same bijective mixer tensor/rng.cc uses, duplicated here
-// so fault stays a leaf dependency (nn/serialize links against it).
-uint64_t mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Plan& Plan::kill_worker(int worker, int64_t step) {
   faults_.push_back({WorkerFault::Kind::kKill, worker, step, 0.0});
@@ -77,8 +65,9 @@ int Plan::kill_at(int64_t step) const {
 bool Plan::should_drop(uint64_t request_id, int attempt) const {
   if (drop_probability_ <= 0.0) return false;
   if (drop_probability_ >= 1.0) return true;
-  const uint64_t h =
-      mix64(mix64(seed_ ^ request_id) + static_cast<uint64_t>(attempt));
+  uint64_t s = seed_ ^ request_id;
+  uint64_t t = splitmix64(s) + static_cast<uint64_t>(attempt);
+  const uint64_t h = splitmix64(t);
   // 53 mantissa bits -> uniform in [0, 1), the same construction Rng uses.
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < drop_probability_;

@@ -6,18 +6,11 @@
 #include <sstream>
 
 #include "metrics/metrics.h"
+#include "tensor/rng.h"
 
 namespace pf::metrics {
 
 namespace {
-
-// splitmix64: tiny, seedable, and good enough for reservoir eviction picks.
-uint64_t splitmix64(uint64_t& s) {
-  uint64_t z = (s += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 double steady_seconds() {
   return std::chrono::duration<double>(

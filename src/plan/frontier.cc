@@ -96,16 +96,17 @@ const std::vector<MethodCosts>& recorded_methods() {
   static const std::vector<MethodCosts> table = {
       // Uncompressed flat-buffer allreduce: the optimized vanilla baseline
       // and what Pufferfish itself runs on the factorized model.
-      {"allreduce", Coll::kAllreduce, 1.0, 1, 0.0, 0.0, false, 1.0},
+      {"allreduce", dist::Coll::kAllreduce, 1.0, 1, 0.0, 0.0, false, 1.0},
       // PowerSGD rank 4: P and Q rounds (2 messages), tiny payload, but a
       // Gram-Schmidt + two GEMMs encode pass over every matrix gradient.
-      {"powersgd-r4", Coll::kAllreduce, 0.15, 2, 4.0e-9, 1.0e-9, false,
+      {"powersgd-r4", dist::Coll::kAllreduce, 0.15, 2, 4.0e-9, 1.0e-9, false,
        0.995},
       // SIGNUM: 1 bit/coordinate, majority vote decoded per peer.
-      {"signum", Coll::kAllgather, 1.0 / 32.0, 1, 0.3e-9, 8.0e-9, true,
+      {"signum", dist::Coll::kAllgather, 1.0 / 32.0, 1, 0.3e-9, 8.0e-9, true,
        0.95},
       // Top-k 1%: (index, value) pairs = 8 bytes per kept coordinate.
-      {"topk-1pct", Coll::kAllgather, 0.02, 1, 1.5e-9, 2.0e-9, true, 0.99},
+      {"topk-1pct", dist::Coll::kAllgather, 0.02, 1, 1.5e-9, 2.0e-9, true,
+       0.99},
       // Variance-gated transmission (Tsuzuku et al.,
       // compress::VarianceGateReducer): per-layer mean/variance gating with
       // error feedback skips ambiguous layers, so the average payload is a
@@ -113,7 +114,7 @@ const std::vector<MethodCosts>& recorded_methods() {
       // bench_adaptive_frontier on this substrate); sent layers are dense
       // floats, so the collective stays allreduce and decode is free. Error
       // feedback keeps the accuracy cost marginal.
-      {"variance-gate", Coll::kAllreduce, 0.6, 1, 0.5e-9, 0.2e-9, false,
+      {"variance-gate", dist::Coll::kAllreduce, 0.6, 1, 0.5e-9, 0.2e-9, false,
        0.998},
   };
   return table;

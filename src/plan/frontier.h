@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "plan/comm_sim.h"
+#include "dist/cost_model.h"
 
 namespace pf::plan {
 
@@ -44,7 +44,7 @@ double predicted_accuracy(double rank_ratio, int hybrid_k, int warmup_epochs);
 
 struct MethodCosts {
   std::string method;    // "allreduce" | "powersgd-r4" | "signum" | "topk-1pct"
-  Coll collective;       // what the encoding is compatible with
+  dist::Coll collective; // what the encoding is compatible with
   double payload_factor; // payload bytes per message = factor * grad bytes
   int n_messages;        // collective invocations per step
   double encode_s_per_byte;  // per worker, per byte of the DENSE gradient

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "plan/comm_sim.h"
+#include "dist/cost_model.h"
 
 namespace pf::plan {
 
@@ -49,12 +49,13 @@ double modeled_epoch_seconds(const ModelCosts& costs, const MethodCosts& mc,
            : costs.step_flops(per_worker_batch) / hw.flops_per_s) *
       oversub / hw.slowest_speed(workers);
   const int64_t bytes = costs.grad_bytes();
-  if (mc.collective == Coll::kAllreduce && mc.encode_s_per_byte == 0 &&
+  if (mc.collective == dist::Coll::kAllreduce && mc.encode_s_per_byte == 0 &&
       overlap) {
     // Plain flat-buffer allreduce under DDP bucketed overlap: the
     // bench_fig4_distributed model, generalized to hierarchical profiles.
     return steps *
-           overlap_epoch_seconds(compute, bytes, workers, hw, bucket_bytes);
+           dist::overlap_epoch_seconds(compute, bytes, workers, hw,
+                                       bucket_bytes);
   }
   // Synchronous step accounting (the shm executor's schedule, and the one
   // encode/decode passes force anyway): compute, encode, collective,
@@ -65,7 +66,7 @@ double modeled_epoch_seconds(const ModelCosts& costs, const MethodCosts& mc,
       mc.payload_factor * static_cast<double>(bytes));
   const double comm =
       static_cast<double>(mc.n_messages) *
-      collective_seconds(mc.collective, payload, workers, hw);
+      dist::collective_seconds(mc.collective, payload, workers, hw);
   const double encode = mc.encode_s_per_byte * static_cast<double>(bytes);
   const double decode =
       mc.decode_s_per_byte * static_cast<double>(payload) *
@@ -145,6 +146,16 @@ std::string Plan::summary(int top_n) const {
 }
 
 Plan make_plan(const PlannerRequest& req) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::runtime_error(std::string("plan: ") + what);
+  };
+  for (int w : req.workers) require(w >= 1, "workers must be >= 1");
+  for (int64_t b : req.bucket_bytes)
+    require(b >= 1, "bucket_bytes must be >= 1");
+  require(req.per_worker_batch >= 1, "per_worker_batch must be >= 1");
+  require(req.epochs >= 1, "epochs must be >= 1");
+  require(req.images_per_epoch > 0, "images_per_epoch must be > 0");
+
   Plan plan;
   plan.request = req;
   const MethodCosts& plain = method_costs("allreduce");

@@ -5,11 +5,11 @@
 //
 // Deterministic by construction: model costs are introspected from built
 // models (model_costs.h), accuracy comes from the recorded frontier
-// (frontier.h), and communication from the alpha-beta simulator
-// (comm_sim.h). Same request -> bitwise-identical plan (tests/plan_test.cc
-// asserts it); measurement only enters through the HardwareProfile the
-// caller passes (e.g. plan::calibrated_profile) and the optional
-// measured_step_seconds override.
+// (frontier.h), and communication from the one alpha-beta model
+// (dist/cost_model.h). Same request -> bitwise-identical plan
+// (tests/plan_test.cc asserts it); measurement only enters through the
+// HardwareProfile the caller passes (e.g. plan::calibrated_profile) and the
+// optional measured_step_seconds override.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +106,10 @@ double modeled_epoch_seconds(const ModelCosts& costs, const MethodCosts& mc,
                              const dist::HardwareProfile& hw, bool overlap,
                              double compute_override_s = 0);
 
+// Throws std::runtime_error for a request no cluster can run: a `workers`
+// or `bucket_bytes` entry < 1, per_worker_batch < 1, epochs < 1, or
+// images_per_epoch <= 0 (each would otherwise price to inf, NaN or a
+// negative "best" time).
 Plan make_plan(const PlannerRequest& req);
 
 }  // namespace pf::plan

@@ -12,6 +12,16 @@
 
 namespace pf {
 
+// splitmix64 (Steele, Lea & Flood 2014): advances `state` by the golden
+// gamma and returns its mixed value. Seeds Rng, and is the one hash behind
+// the fault coins, elastic chaos schedules and serving reservoir picks.
+inline uint64_t splitmix64(uint64_t& state) {
+  uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);

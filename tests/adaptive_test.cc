@@ -112,7 +112,7 @@ TEST(AdaptiveGate, WarmupStepsAlwaysSend) {
     for (int64_t j = 0; j < 8; ++j) EXPECT_FLOAT_EQ(agg[j], 1.0f + step);
     // All floats ship, plus the 2-layer send mask rounded up to one byte.
     EXPECT_EQ(stats.payload_bytes_per_worker, 8 * 4 + 1);
-    EXPECT_EQ(stats.collective, compress::Collective::kAllreduce);
+    EXPECT_EQ(stats.collective, dist::Coll::kAllreduce);
   }
   EXPECT_EQ(r.layers_sent(), 4);
   EXPECT_EQ(r.layers_skipped(), 0);
@@ -259,7 +259,7 @@ TEST(AdaptiveEF, SignumSeedBehaviourUnchangedByDefault) {
   Tensor agg = r.reduce({pos, pos, neg}, {Shape{4}}, &stats);
   for (int64_t j = 0; j < 4; ++j) EXPECT_FLOAT_EQ(agg[j], 1.0f);
   EXPECT_EQ(stats.payload_bytes_per_worker, (4 + 7) / 8);
-  EXPECT_EQ(stats.collective, compress::Collective::kAllgather);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllgather);
 }
 
 TEST(AdaptiveEF, TopKWithoutEFDropsUnselectedMass) {
@@ -322,9 +322,8 @@ double final_loss_with(std::unique_ptr<compress::Reducer> reducer, float lr,
   cfg.lr = lr;
   cfg.momentum = momentum;
   cfg.weight_decay = 0;
-  dist::CostModel cm;
-  cm.nodes = 4;
-  dist::DataParallelTrainer t(mlp_model(3), std::move(reducer), cm, cfg);
+  dist::DataParallelTrainer t(mlp_model(3), std::move(reducer), /*nodes=*/4,
+                              cfg);
   return t.train(ds).back().train_loss;
 }
 

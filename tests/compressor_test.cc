@@ -23,7 +23,7 @@ TEST(Allreduce, ComputesExactMean) {
   Tensor agg = r.reduce(grads, {Shape{32}}, &stats);
   EXPECT_TRUE(allclose(agg, expected, 1e-5f, 1e-6f));
   EXPECT_EQ(stats.payload_bytes_per_worker, 32 * 4);
-  EXPECT_EQ(stats.collective, Collective::kAllreduce);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllreduce);
   EXPECT_EQ(stats.n_messages, 1);
 }
 
@@ -81,7 +81,7 @@ TEST(PowerSgd, PayloadMuchSmallerThanDense) {
   r.reduce(grads, {Shape{rows, cols}}, &stats);
   EXPECT_EQ(stats.payload_bytes_per_worker, (64 * 2 + 64 * 2) * 4);
   EXPECT_LT(stats.payload_bytes_per_worker, rows * cols * 4 / 8);
-  EXPECT_EQ(stats.collective, Collective::kAllreduce);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllreduce);
   EXPECT_EQ(stats.n_messages, 2);
 }
 
@@ -130,7 +130,7 @@ TEST(Signum, PayloadIsOneBitPerCoordinate) {
   ReduceStats stats;
   r.reduce(grads, {Shape{1000}}, &stats);
   EXPECT_EQ(stats.payload_bytes_per_worker, 125);
-  EXPECT_EQ(stats.collective, Collective::kAllgather);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllgather);
 }
 
 TEST(Signum, MomentumSmoothsSignFlips) {
@@ -153,7 +153,7 @@ TEST(TopK, KeepsLargestMagnitudes) {
   EXPECT_FLOAT_EQ(agg[3], 4.0f);
   EXPECT_FLOAT_EQ(agg[0], 0.0f);
   EXPECT_EQ(stats.payload_bytes_per_worker, 2 * 8);
-  EXPECT_EQ(stats.collective, Collective::kAllgather);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllgather);
 }
 
 TEST(TopK, ErrorFeedbackEventuallySendsEverything) {
@@ -207,7 +207,7 @@ TEST(BinaryQuant, PayloadAndCollective) {
   ReduceStats stats;
   r.reduce(grads, {Shape{800}}, &stats);
   EXPECT_EQ(stats.payload_bytes_per_worker, 100 + 8);
-  EXPECT_EQ(stats.collective, Collective::kAllgather);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllgather);
   EXPECT_GT(stats.decode_seconds, 0.0);
 }
 
@@ -238,7 +238,7 @@ TEST(Atomo, ExactOnRankOneWithSufficientBudget) {
   Tensor agg = r.reduce({g}, {Shape{6, 5}}, &stats);
   // Rank-1 gradient: the single nonzero triplet is kept w.p. 1 (p >= 1).
   EXPECT_TRUE(allclose(agg, g, 1e-2f, 1e-3f));
-  EXPECT_EQ(stats.collective, Collective::kAllgather);
+  EXPECT_EQ(stats.collective, dist::Coll::kAllgather);
 }
 
 TEST(Atomo, UnbiasedInExpectation) {

@@ -87,14 +87,13 @@ TEST(EdgeDist, MoreNodesThanSamplesStillRuns) {
   models::ResNetCifarConfig cfg;
   cfg.width_mult = 0.0625;
   cfg.num_classes = 2;
-  dist::CostModel cm;
-  cm.nodes = 16;  // > samples per batch
   dist::DistTrainConfig tcfg;
   tcfg.epochs = 1;
   tcfg.global_batch = 8;
   dist::DataParallelTrainer t(
       std::make_unique<models::ResNet18Cifar>(cfg, rng),
-      std::make_unique<compress::AllreduceReducer>(), cm, tcfg);
+      std::make_unique<compress::AllreduceReducer>(),
+      /*nodes=*/16, tcfg);  // more nodes than samples per batch
   dist::DistEpochRecord rec = t.train_epoch(ds, 0);
   EXPECT_GT(rec.breakdown.compute_s, 0.0);
 }
@@ -143,10 +142,11 @@ TEST(EdgeData, BatchLargerThanDatasetYieldsNothing) {
 }
 
 TEST(EdgeCostModel, SingleNodeRingIsFree) {
-  dist::CostModel cm;
-  cm.nodes = 1;
-  EXPECT_NEAR(cm.allreduce_seconds(1 << 20), 0.0, 1e-12);
-  EXPECT_NEAR(cm.allgather_seconds(1 << 20), 0.0, 1e-12);
+  const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
+  EXPECT_EQ(dist::collective_seconds(dist::Coll::kAllreduce, 1 << 20, 1, hw),
+            0.0);
+  EXPECT_EQ(dist::collective_seconds(dist::Coll::kAllgather, 1 << 20, 1, hw),
+            0.0);
 }
 
 TEST(EdgeEmbedding, OutOfRangeIdThrows) {

@@ -111,16 +111,14 @@ TEST_P(ReducerConvergenceP, TrainsAboveChance) {
   ASSERT_NE(reducer, nullptr);
 
   auto ds = easy_data();
-  dist::CostModel cm;
-  cm.nodes = 4;
   dist::DistTrainConfig cfg;
   cfg.epochs = 10;
   cfg.global_batch = 16;
   cfg.lr = lr;
   cfg.momentum = momentum;
   cfg.lr_milestones = {8};
-  dist::DataParallelTrainer trainer(small_resnet(5), std::move(reducer), cm,
-                                    cfg);
+  dist::DataParallelTrainer trainer(small_resnet(5), std::move(reducer),
+                                    /*nodes=*/4, cfg);
   auto recs = trainer.train(ds);
   EXPECT_GT(recs.back().test_acc, 0.4) << which;  // chance = 0.25
 }

@@ -9,7 +9,6 @@
 #include "dist/cost_model.h"
 #include "dist/ring_sim.h"
 #include "plan/calibrate.h"
-#include "plan/comm_sim.h"
 #include "plan/frontier.h"
 #include "plan/model_costs.h"
 #include "plan/planner.h"
@@ -25,12 +24,13 @@ TEST(PlanCommSim, ClosedFormMatchesRingSimAllreduce) {
   // The satellite contract: alpha-beta closed forms within 1% of the
   // event-driven ring schedule across a (p, bytes) sweep. The only
   // divergence is ceil(bytes/p) chunk rounding, negligible at >= 64 KB.
-  const dist::RingLink link{};  // shared default constants
+  const dist::RingLink link =
+      dist::link_from(dist::HardwareProfile::cloud_10g());
   for (int p : {2, 3, 4, 8, 16}) {
     for (int64_t bytes : {int64_t{64} << 10, int64_t{1} << 20,
                           int64_t{16} << 20, int64_t{97} << 20}) {
-      const double closed = plan::collective_seconds_flat(
-          plan::Coll::kAllreduce, bytes, p, link.latency_s,
+      const double closed = dist::collective_seconds_flat(
+          dist::Coll::kAllreduce, bytes, p, link.latency_s,
           link.bandwidth_bytes_per_s);
       const double sim =
           dist::simulate_ring_allreduce(bytes, p, {link}).makespan_s;
@@ -41,36 +41,17 @@ TEST(PlanCommSim, ClosedFormMatchesRingSimAllreduce) {
 }
 
 TEST(PlanCommSim, ClosedFormMatchesRingSimAllgather) {
-  const dist::RingLink link{};
+  const dist::RingLink link =
+      dist::link_from(dist::HardwareProfile::cloud_10g());
   for (int p : {2, 4, 8, 16}) {
     for (int64_t bytes : {int64_t{64} << 10, int64_t{4} << 20}) {
-      const double closed = plan::collective_seconds_flat(
-          plan::Coll::kAllgather, bytes, p, link.latency_s,
+      const double closed = dist::collective_seconds_flat(
+          dist::Coll::kAllgather, bytes, p, link.latency_s,
           link.bandwidth_bytes_per_s);
       const double sim =
           dist::simulate_ring_allgather(bytes, p, {link}).makespan_s;
       EXPECT_NEAR(closed, sim, 0.01 * sim)
           << "p=" << p << " bytes=" << bytes;
-    }
-  }
-}
-
-TEST(PlanCommSim, FlatFormsAreExpressionIdenticalToCostModel) {
-  // Bitwise, not approximate: the planner's flat allreduce/allgather must
-  // BE dist::CostModel's formulas, or rank-ratio-1.0 plans drift from the
-  // DDP predictions bench_fig4_distributed prints.
-  for (int p : {2, 5, 16, 33}) {
-    dist::CostModel cm;
-    cm.nodes = p;
-    for (int64_t bytes : {int64_t{1}, int64_t{12345678}, int64_t{1} << 28}) {
-      EXPECT_EQ(plan::collective_seconds_flat(plan::Coll::kAllreduce, bytes,
-                                              p, cm.latency_s,
-                                              cm.bandwidth_bytes_per_s),
-                cm.allreduce_seconds(bytes));
-      EXPECT_EQ(plan::collective_seconds_flat(plan::Coll::kAllgather, bytes,
-                                              p, cm.latency_s,
-                                              cm.bandwidth_bytes_per_s),
-                cm.allgather_seconds(bytes));
     }
   }
 }
@@ -83,51 +64,41 @@ TEST(PlanCommSim, HierarchicalIsBoundedByFlatExtremes) {
   ASSERT_GT(hw.workers_per_node, 1);
   const int p = 16;
   const int64_t bytes = int64_t{44} << 20;
-  for (plan::Coll c : {plan::Coll::kAllreduce, plan::Coll::kReduceScatter,
-                       plan::Coll::kAllgather, plan::Coll::kBroadcast}) {
-    const double two_level = plan::collective_seconds(c, bytes, p, hw);
-    const double all_fast = plan::collective_seconds_flat(
+  for (dist::Coll c : {dist::Coll::kAllreduce, dist::Coll::kReduceScatter,
+                       dist::Coll::kAllgather, dist::Coll::kBroadcast}) {
+    const double two_level = dist::collective_seconds(c, bytes, p, hw);
+    const double all_fast = dist::collective_seconds_flat(
         c, bytes, p, hw.intra_alpha_s, hw.intra_bandwidth_bytes_per_s);
-    const double all_slow = plan::collective_seconds_flat(
+    const double all_slow = dist::collective_seconds_flat(
         c, bytes, p, hw.alpha_s, hw.bandwidth_bytes_per_s);
-    EXPECT_GE(two_level, all_fast) << plan::coll_name(c);
-    EXPECT_LE(two_level, all_slow * 1.5) << plan::coll_name(c);
+    EXPECT_GE(two_level, all_fast) << dist::coll_name(c);
+    EXPECT_LE(two_level, all_slow * 1.5) << dist::coll_name(c);
   }
 
   dist::HardwareProfile flat = hw;
   flat.workers_per_node = 1;
-  EXPECT_EQ(plan::collective_seconds(plan::Coll::kAllreduce, bytes, p, flat),
-            plan::collective_seconds_flat(plan::Coll::kAllreduce, bytes, p,
+  EXPECT_EQ(dist::collective_seconds(dist::Coll::kAllreduce, bytes, p, flat),
+            dist::collective_seconds_flat(dist::Coll::kAllreduce, bytes, p,
                                           flat.alpha_s,
                                           flat.bandwidth_bytes_per_s));
   // Inside one node, only the intra link is used.
-  EXPECT_EQ(plan::collective_seconds(plan::Coll::kAllreduce, bytes,
+  EXPECT_EQ(dist::collective_seconds(dist::Coll::kAllreduce, bytes,
                                      hw.workers_per_node, hw),
-            plan::collective_seconds_flat(plan::Coll::kAllreduce, bytes,
+            dist::collective_seconds_flat(dist::Coll::kAllreduce, bytes,
                                           hw.workers_per_node,
                                           hw.intra_alpha_s,
                                           hw.intra_bandwidth_bytes_per_s));
 }
 
-// --- shared hardware constants (satellite 1) --------------------------
+// --- one set of link constants ---------------------------------------
 
 TEST(PlanHardware, DefaultsShareOneSetOfConstants) {
-  const dist::CostModel cm{};
-  const dist::RingLink link{};
-  EXPECT_EQ(cm.latency_s, dist::kDefaultLinkLatencyS);
-  EXPECT_EQ(cm.bandwidth_bytes_per_s, dist::kDefaultLinkBandwidthBytesPerS);
-  EXPECT_EQ(link.latency_s, dist::kDefaultLinkLatencyS);
-  EXPECT_EQ(link.bandwidth_bytes_per_s,
-            dist::kDefaultLinkBandwidthBytesPerS);
-
+  // HardwareProfile's initializers are the only link constants; the ring
+  // simulation takes its links from a profile.
   const dist::HardwareProfile hw = dist::HardwareProfile::cloud_10g();
-  EXPECT_EQ(hw.alpha_s, dist::kDefaultLinkLatencyS);
-  EXPECT_EQ(hw.bandwidth_bytes_per_s, dist::kDefaultLinkBandwidthBytesPerS);
-
-  const dist::CostModel projected = dist::cost_model_from(hw, 7);
-  EXPECT_EQ(projected.nodes, 7);
-  EXPECT_EQ(projected.latency_s, hw.alpha_s);
-  EXPECT_EQ(projected.bandwidth_bytes_per_s, hw.bandwidth_bytes_per_s);
+  EXPECT_EQ(dist::HardwareProfile{}.alpha_s, hw.alpha_s);
+  EXPECT_EQ(dist::HardwareProfile{}.bandwidth_bytes_per_s,
+            hw.bandwidth_bytes_per_s);
   const dist::RingLink plink = dist::link_from(hw);
   EXPECT_EQ(plink.latency_s, hw.alpha_s);
   EXPECT_EQ(plink.bandwidth_bytes_per_s, hw.bandwidth_bytes_per_s);
@@ -256,7 +227,7 @@ TEST(PlanPlanner, VanillaDegeneratesToDdpPrediction) {
   const double steps = images / (static_cast<double>(p) * batch);
   const double expected =
       steps *
-      plan::overlap_epoch_seconds(compute, costs.grad_bytes(), p, hw, bucket);
+      dist::overlap_epoch_seconds(compute, costs.grad_bytes(), p, hw, bucket);
   EXPECT_NEAR(modeled, expected, 1e-12 * expected);
 }
 
@@ -305,6 +276,29 @@ TEST(PlanPlanner, AccuracyFloorBinds) {
   EXPECT_FALSE(none.has_feasible());
   EXPECT_NE(none.summary().find("none feasible"), std::string::npos);
   EXPECT_THROW(none.best(), std::runtime_error);
+}
+
+TEST(PlanPlanner, RejectsOutOfRangeRequests) {
+  // Each of these used to price to inf, NaN or a negative "best" time.
+  const plan::PlannerRequest ok = [] {
+    plan::PlannerRequest r;
+    r.width = 0.25;
+    r.workers = {4};
+    r.methods = {"allreduce"};
+    return r;
+  }();
+  EXPECT_NO_THROW(plan::make_plan(ok));
+  std::vector<plan::PlannerRequest> bad(8, ok);
+  bad[0].workers = {4, 0};
+  bad[1].workers = {-4};
+  bad[2].per_worker_batch = 0;
+  bad[3].epochs = 0;
+  bad[4].epochs = -1;
+  bad[5].images_per_epoch = 0;
+  bad[6].images_per_epoch = -50000;
+  bad[7].bucket_bytes = {1 << 20, 0};
+  for (size_t i = 0; i < bad.size(); ++i)
+    EXPECT_THROW(plan::make_plan(bad[i]), std::runtime_error) << "case " << i;
 }
 
 TEST(PlanPlanner, ComputeSlotsOversubscriptionScalesCompute) {

@@ -7,7 +7,9 @@
 namespace pf::dist {
 namespace {
 
-std::vector<RingLink> homogeneous() { return {RingLink{}}; }
+const HardwareProfile kCloud = HardwareProfile::cloud_10g();
+
+std::vector<RingLink> homogeneous() { return {link_from(kCloud)}; }
 
 TEST(RingSim, TrivialSingleNode) {
   RingSimResult r = simulate_ring_allreduce(1 << 20, 1, homogeneous());
@@ -20,10 +22,9 @@ TEST(RingSim, AllreduceMatchesClosedForm) {
   // ceil() on the chunk size).
   for (int p : {2, 4, 8, 16}) {
     for (int64_t bytes : {1 << 16, 25 << 20}) {
-      CostModel cm;
-      cm.nodes = p;
       RingSimResult sim = simulate_ring_allreduce(bytes, p, homogeneous());
-      const double closed = cm.allreduce_seconds(bytes, 1);
+      const double closed =
+          collective_seconds(Coll::kAllreduce, bytes, p, kCloud);
       EXPECT_NEAR(sim.makespan_s, closed, 0.02 * closed + 1e-6)
           << "p=" << p << " bytes=" << bytes;
       EXPECT_EQ(sim.steps, 2 * (p - 1));
@@ -34,10 +35,9 @@ TEST(RingSim, AllreduceMatchesClosedForm) {
 TEST(RingSim, AllgatherMatchesClosedForm) {
   for (int p : {2, 8, 16}) {
     const int64_t bytes = 4 << 20;
-    CostModel cm;
-    cm.nodes = p;
     RingSimResult sim = simulate_ring_allgather(bytes, p, homogeneous());
-    const double closed = cm.allgather_seconds(bytes, 1);
+    const double closed =
+        collective_seconds(Coll::kAllgather, bytes, p, kCloud);
     EXPECT_NEAR(sim.makespan_s, closed, 0.02 * closed + 1e-6) << "p=" << p;
   }
 }
@@ -58,7 +58,7 @@ TEST(RingSim, StragglerLinkDominatesBulkSync) {
   // whole collective slows toward the straggler's rate.
   const int p = 8;
   const int64_t bytes = 25 << 20;
-  std::vector<RingLink> links(static_cast<size_t>(p));
+  std::vector<RingLink> links(static_cast<size_t>(p), link_from(kCloud));
   links[3].bandwidth_bytes_per_s /= 2;
   RingSimResult slow = simulate_ring_allreduce(bytes, p, links);
   RingSimResult fast = simulate_ring_allreduce(bytes, p, homogeneous());
@@ -72,7 +72,7 @@ TEST(RingSim, PipeliningCannotBeatTheRingBottleneck) {
   // (this is why stragglers are so painful for ring allreduce in practice).
   const int p = 8;
   const int64_t bytes = 25 << 20;
-  std::vector<RingLink> links(static_cast<size_t>(p));
+  std::vector<RingLink> links(static_cast<size_t>(p), link_from(kCloud));
   links[3].bandwidth_bytes_per_s /= 2;
   RingSimResult bulk = simulate_ring_allreduce(bytes, p, links);
   RingSimResult pipe = simulate_ring_allreduce_pipelined(bytes, p, links);

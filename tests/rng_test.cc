@@ -168,5 +168,14 @@ TEST(Rng, SplitStreamsAreIndependent) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a2.next_u64(), a3.next_u64());
 }
 
+TEST(Rng, SplitMix64MatchesReferenceVectors) {
+  // The published seed-0 stream of the reference splitmix64.c.
+  uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(splitmix64(state), 0x06c45d188009454full);
+  EXPECT_EQ(state, 3 * 0x9E3779B97F4A7C15ull);
+}
+
 }  // namespace
 }  // namespace pf

@@ -215,11 +215,9 @@ void expect_shm_matches_modeled(bool factorized) {
 
   // Sequential modeled cluster, seeded like the shm replicas.
   Rng seq_rng(tc.seed * 0x9E3779B9u + 101);
-  dist::CostModel cm;
-  cm.nodes = 4;
   dist::DataParallelTrainer modeled(
       tiny_resnet_factory(factorized)(seq_rng),
-      std::make_unique<compress::AllreduceReducer>(), cm, tc);
+      std::make_unique<compress::AllreduceReducer>(), /*nodes=*/4, tc);
   const auto modeled_recs = modeled.train(ds);
 
   runtime::ShmClusterConfig scfg;
