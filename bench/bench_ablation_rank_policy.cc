@@ -93,17 +93,8 @@ int main() {
         const int64_t c_in = conv.c_in(), c_out = conv.c_out(),
                       k = conv.kernel();
         if (c_out < 8) return;
-        // Unroll like factorize_conv does.
-        Tensor unrolled(Shape{c_in * k * k, c_out});
-        const Tensor& w = conv.weight->value;
-        for (int64_t co = 0; co < c_out; ++co)
-          for (int64_t ci = 0; ci < c_in; ++ci)
-            for (int64_t ky = 0; ky < k; ++ky)
-              for (int64_t kx = 0; kx < k; ++kx)
-                unrolled[((ci * k + ky) * k + kx) * c_out + co] =
-                    w[((co * c_in + ci) * k + ky) * k + kx];
-        const int64_t r25 =
-            models::pufferfish_rank(c_in, c_out, k, 0.25);
+        const Tensor unrolled = core::unroll_conv(conv.weight->value);
+        const int64_t r25 = core::ratio_rank(c_in * k * k, c_out, 0.25);
         const double kept = core::retained_energy(unrolled, r25);
         const int64_t r90 = core::choose_rank_for_energy(unrolled, 0.9);
         t.add_row({"conv " + std::to_string(c_in * k * k) + "x" +

@@ -26,7 +26,6 @@
 #include "core/factorize.h"
 #include "core/rank_policy.h"
 #include "dist/cluster.h"
-#include "nn/reproject.h"
 
 using namespace bench;
 
@@ -88,7 +87,7 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
       // AB refresh round: densify and train this epoch at full rank (its
       // dense allreduce payload lands in the bytes axis)...
       std::unique_ptr<nn::UnaryModule> vanilla = vf(rng);
-      nn::defactorize(trainer.model(), *vanilla);
+      core::defactorize(trainer.model(), *vanilla);
       trainer.replace_model(std::move(vanilla), nullptr);
       ++out.refreshes;
     }
@@ -97,7 +96,7 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
       // ...then re-SVD back to low rank with policy-chosen per-layer ranks.
       std::unique_ptr<nn::UnaryModule> hybrid = hf(rng);
       Rng svd_rng(static_cast<uint64_t>(17 + e));
-      nn::reproject(trainer.model(), *hybrid, policy, svd_rng);
+      core::reproject(trainer.model(), *hybrid, policy, svd_rng);
       trainer.replace_model(std::move(hybrid), nullptr);
     }
   }

@@ -11,12 +11,14 @@
 //                                          (cost-model auto-tuner, src/plan)
 //
 // Models: vgg19 | resnet18 | resnet50 | wrn50. `--rank-ratio 0` trains the
-// vanilla model; anything > 0 runs the full Pufferfish pipeline (Algorithm
-// 1) with the hybrid configuration from the paper.
+// vanilla model; anything in (0, 1] runs the full Pufferfish pipeline
+// (Algorithm 1) with the hybrid configuration from the paper, and a ratio
+// outside [0, 1] is an error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/trainer.h"
@@ -49,6 +51,16 @@ struct Args {
     return it == flags.end() ? dflt : std::atoi(it->second.c_str());
   }
 };
+
+// --rank-ratio is the fraction of each layer's full rank a hybrid keeps;
+// 0 trains the vanilla model.
+double rank_ratio(const Args& a) {
+  const double r = a.get_d("rank-ratio", 0.25);
+  if (!(r >= 0 && r <= 1))
+    throw std::runtime_error("--rank-ratio must be in [0, 1], got " +
+                             a.get("rank-ratio", ""));
+  return r;
+}
 
 Args parse(int argc, char** argv) {
   Args a;
@@ -139,7 +151,7 @@ data::SyntheticImages make_data(int64_t classes, int64_t hw) {
 int cmd_train(const Args& a) {
   const std::string model = a.get("model", "resnet18");
   const double width = a.get_d("width", 0.125);
-  const double ratio = a.get_d("rank-ratio", 0.25);
+  const double ratio = rank_ratio(a);
   const int64_t classes = a.get_i("classes", 10);
   const int64_t hw = model == "vgg19" ? 32 : 16;
 
@@ -191,7 +203,7 @@ int cmd_train(const Args& a) {
 int cmd_eval(const Args& a) {
   const std::string model = a.get("model", "resnet18");
   const double width = a.get_d("width", 0.125);
-  const double ratio = a.get_d("rank-ratio", 0.25);
+  const double ratio = rank_ratio(a);
   const int64_t classes = a.get_i("classes", 10);
   const std::string ckpt = a.get("checkpoint", "");
   if (ckpt.empty()) return usage();

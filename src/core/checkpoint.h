@@ -37,8 +37,8 @@ struct TrainState {
   std::vector<Tensor> opt_tensors;   // optimizer slot buffers, stable order
 
   // v2 ("PUFFTST2") additions. layer_ranks: each low-rank layer's rank in
-  // nn::collect_ranks order -- under kAbReproject the ranks move during
-  // training, and a resumed run must re-shape its hybrid (nn::apply_ranks)
+  // core::collect_ranks order -- under kAbReproject the ranks move during
+  // training, and a resumed run must re-shape its hybrid (core::apply_ranks)
   // before loading weights. reducer: a stateful gradient reducer's evolving
   // buffers (error-feedback residuals, sign momentum, variance-gate
   // moments); dropping them on resume would silently re-lose the deferred

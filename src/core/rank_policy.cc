@@ -69,56 +69,28 @@ bool operator==(const RankPolicy& a, const RankPolicy& b) {
 }
 
 int64_t RankPolicy::rank_for(const Tensor& unrolled_weight) const {
-  const int64_t full = std::max<int64_t>(
-      1, std::min(unrolled_weight.size(0), unrolled_weight.size(1)));
-  int64_t r;
-  if (kind == Kind::kFixedRatio || kind == Kind::kVarianceGated) {
-    r = std::max<int64_t>(min_rank, static_cast<int64_t>(full * ratio));
-  } else {
-    r = choose_rank_for_energy(unrolled_weight, energy, min_rank);
-  }
-  // Clamp like randomized_svd/gram_svd: a rank above min(m, n) cannot be
-  // factorized (the old fixed-ratio path let min_rank exceed `full`), and
-  // rank 0 is never a valid factorization.
-  return std::clamp<int64_t>(r, 1, full);
+  const int64_t m = unrolled_weight.size(0), n = unrolled_weight.size(1);
+  const int64_t r =
+      kind == Kind::kFixedRatio || kind == Kind::kVarianceGated
+          ? std::max(min_rank, ratio_rank(m, n, ratio))
+          : choose_rank_for_energy(unrolled_weight, energy, min_rank);
+  // A min_rank above min(m, n) cannot request an over-complete
+  // factorization.
+  return std::clamp<int64_t>(r, 1, std::max<int64_t>(1, std::min(m, n)));
 }
 
 namespace {
 
-// Unroll a conv weight (c_out, c_in, k, k) to (c_in*k*k, c_out), matching
-// factorize_conv's convention.
-Tensor unroll_conv(const nn::Conv2d& conv) {
-  const int64_t c_in = conv.c_in(), c_out = conv.c_out(), k = conv.kernel();
-  Tensor unrolled(Shape{c_in * k * k, c_out});
-  const Tensor& w = conv.weight->value;
-  for (int64_t co = 0; co < c_out; ++co)
-    for (int64_t ci = 0; ci < c_in; ++ci)
-      for (int64_t ky = 0; ky < k; ++ky)
-        for (int64_t kx = 0; kx < k; ++kx)
-          unrolled[((ci * k + ky) * k + kx) * c_out + co] =
-              w[((co * c_in + ci) * k + ky) * k + kx];
-  return unrolled;
-}
-
 void visit(nn::Module& m, const RankPolicy& policy, RankPlan& plan) {
   const std::string t = m.type_name();
-  if (t == "Conv2d") {
-    auto& conv = static_cast<nn::Conv2d&>(m);
-    Tensor unrolled = unroll_conv(conv);
+  Tensor w;  // the layer's (unrolled) weight
+  if (t == "Conv2d")
+    w = unroll_conv(static_cast<nn::Conv2d&>(m).weight->value);
+  else if (t == "Linear")
+    w = static_cast<nn::Linear&>(m).weight->value;  // (out, in)
+  if (!w.empty()) {
     RankPlanEntry e;
-    e.layer = "Conv2d " + std::to_string(unrolled.size(0)) + "x" +
-              std::to_string(unrolled.size(1));
-    e.full_rank = std::min(unrolled.size(0), unrolled.size(1));
-    e.rank = policy.rank_for(unrolled);
-    e.dense_params = unrolled.numel();
-    e.factored_params = e.rank * (unrolled.size(0) + unrolled.size(1));
-    e.retained_energy = retained_energy(unrolled, e.rank);
-    plan.entries.push_back(std::move(e));
-  } else if (t == "Linear") {
-    auto& fc = static_cast<nn::Linear&>(m);
-    const Tensor& w = fc.weight->value;  // (out, in)
-    RankPlanEntry e;
-    e.layer = "Linear " + std::to_string(w.size(0)) + "x" +
+    e.layer = t + " " + std::to_string(w.size(0)) + "x" +
               std::to_string(w.size(1));
     e.full_rank = std::min(w.size(0), w.size(1));
     e.rank = policy.rank_for(w);

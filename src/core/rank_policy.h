@@ -17,7 +17,7 @@
 //                       `reproject_every` epochs the trainer runs one
 //                       full-rank refresh round, re-SVDs each factorized
 //                       layer, and lets its rank shrink or grow under the
-//                       energy criterion (nn/reproject.h).
+//                       energy criterion (core::reproject).
 //
 // `plan(model)` walks a module tree and reports, per factorizable layer,
 // the rank each policy would assign and the resulting parameter counts --
@@ -86,10 +86,11 @@ struct RankPolicy {
   }
 
   // Rank for a dense (out, in)-style layer whose unrolled weight is `w`.
-  // kFixedRatio / kVarianceGated ignore the values and use only the shape;
-  // kEnergy / kAbReproject inspect the spectrum. The result is always
-  // clamped to [1, min(rows, cols)] -- a min_rank larger than the layer's
-  // full rank cannot request an over-complete factorization.
+  // kFixedRatio / kVarianceGated ignore the values and apply the paper's
+  // rule (core::ratio_rank) to the shape; kEnergy / kAbReproject inspect
+  // the spectrum. The result is always clamped to [1, min(rows, cols)] -- a
+  // min_rank larger than the layer's full rank cannot request an
+  // over-complete factorization.
   int64_t rank_for(const Tensor& unrolled_weight) const;
 
   // Stable on-disk encoding (kind word + three knob words, layout per
@@ -135,8 +136,11 @@ struct RankPlan {
   }
 };
 
-// Walks `model` and plans ranks for every dense Conv2d / Linear layer
-// (the layers warm_start would factorize). Does not modify the model.
+// Walks `model` and plans ranks for every dense Conv2d / Linear layer,
+// convs through their unrolled weight (core::unroll_conv). Which of them a
+// hybrid factorizes is the model's choice, so this plans every candidate;
+// LSTMLayer, which warm_start also factorizes, is not planned. Does not
+// modify the model.
 RankPlan plan_ranks(nn::Module& model, const RankPolicy& policy);
 
 }  // namespace pf::core

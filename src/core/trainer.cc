@@ -8,7 +8,6 @@
 #include "core/checkpoint.h"
 #include "core/eval.h"
 #include "metrics/metrics.h"
-#include "nn/reproject.h"
 #include "optim/optim.h"
 #include "runtime/thread_pool.h"
 #include "trace/trace.h"
@@ -92,7 +91,7 @@ auto run_schedule(Task task, const Factory& make_vanilla,
       // Under kAbReproject the per-layer ranks drift away from what the
       // factory bakes in; re-shape to the snapshot's ranks BEFORE building
       // the optimizer (slot shapes) and loading weights (shape check).
-      if (!st.layer_ranks.empty()) nn::apply_ranks(*hybrid, st.layer_ranks);
+      if (!st.layer_ranks.empty()) apply_ranks(*hybrid, st.layer_ranks);
       enter_low_rank(std::move(hybrid));
     }
     st = load_snapshot(*model, f.checkpoint_dir);  // weights + torn check
@@ -117,7 +116,7 @@ auto run_schedule(Task task, const Factory& make_vanilla,
       task.out.svd_seconds = last_warm_start_svd_seconds();
       enter_low_rank(std::move(hybrid));
     }
-    // AB-style refresh round (nn/reproject.h): every reproject_every
+    // AB-style refresh round (core::reproject): every reproject_every
     // epochs of the low-rank phase, densify, train the dense model for one
     // epoch so the spectrum can move, then re-SVD at policy-chosen ranks.
     const bool refresh =
@@ -133,14 +132,14 @@ auto run_schedule(Task task, const Factory& make_vanilla,
     if (refresh) {
       PF_TRACE_SCOPE_C("train.epoch.refresh", epoch);
       auto vanilla = make_vanilla(rng);
-      nn::defactorize(*model, *vanilla);
+      defactorize(*model, *vanilla);
       auto refresh_opt = task.make_optimizer(*vanilla);
       refresh_opt->set_lr(lr);
       rec.train_loss = task.train_epoch(*vanilla, *refresh_opt, epoch);
       {
         PF_TRACE_SCOPE_C("train.svd_reproject", epoch);
         task.out.svd_seconds +=
-            nn::reproject(*vanilla, *model, f.rank_policy, rng).svd_seconds;
+            reproject(*vanilla, *model, f.rank_policy, rng).svd_seconds;
       }
       // Ranks may have moved: re-derive the velocity slots (changed shapes
       // restart from zero -- the re-SVD re-based those factors). The policy
@@ -166,7 +165,7 @@ auto run_schedule(Task task, const Factory& make_vanilla,
       st.cumulative_seconds = carried_seconds + total_timer.seconds();
       st.policy = f.rank_policy.encode();
       st.rng = rng.state();
-      st.layer_ranks = nn::collect_ranks(*model);
+      st.layer_ranks = collect_ranks(*model);
       capture_optimizer(*opt, st);
       save_snapshot(*model, st, f.checkpoint_dir);
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/factorize.h"
+
 namespace pf::models {
 
 namespace {
@@ -29,12 +31,6 @@ int64_t conv_macs(int64_t c_in, int64_t c_out, int64_t k, int64_t rank,
 
 }  // namespace
 
-int64_t pufferfish_rank(int64_t c_in, int64_t c_out, int64_t k,
-                        double ratio) {
-  const int64_t full = std::min(c_in * k * k, c_out);
-  return std::max<int64_t>(1, static_cast<int64_t>(full * ratio));
-}
-
 // ---------------- BasicBlock ----------------
 
 BasicBlock::BasicBlock(int64_t c_in, int64_t c_out, int64_t stride,
@@ -42,8 +38,8 @@ BasicBlock::BasicBlock(int64_t c_in, int64_t c_out, int64_t stride,
     : c_in_(c_in),
       c_out_(c_out),
       stride_(stride),
-      r1_(low_rank ? pufferfish_rank(c_in, c_out, 3, rank_ratio) : 0),
-      r2_(low_rank ? pufferfish_rank(c_out, c_out, 3, rank_ratio) : 0),
+      r1_(low_rank ? core::ratio_rank(c_in * 9, c_out, rank_ratio) : 0),
+      r2_(low_rank ? core::ratio_rank(c_out * 9, c_out, rank_ratio) : 0),
       conv1_(make_conv(c_in, c_out, 3, stride, 1, r1_, rng)),
       conv2_(make_conv(c_out, c_out, 3, 1, 1, r2_, rng)),
       bn1_(c_out),
@@ -94,9 +90,9 @@ Bottleneck::Bottleneck(int64_t c_in, int64_t mid, int64_t c_out,
       bn2_(mid),
       bn3_(c_out) {
   if (low_rank) {
-    r1_ = pufferfish_rank(c_in, mid, 1, rank_ratio);
-    r2_ = pufferfish_rank(mid, mid, 3, rank_ratio);
-    r3_ = pufferfish_rank(mid, c_out, 1, rank_ratio);
+    r1_ = core::ratio_rank(c_in, mid, rank_ratio);
+    r2_ = core::ratio_rank(mid * 9, mid, rank_ratio);
+    r3_ = core::ratio_rank(mid, c_out, rank_ratio);
   }
   conv1_ = make_conv(c_in, mid, 1, 1, 0, r1_, rng);
   conv2_ = make_conv(mid, mid, 3, stride, 1, r2_, rng);
@@ -109,7 +105,7 @@ Bottleneck::Bottleneck(int64_t c_in, int64_t mid, int64_t c_out,
   register_child(&bn3_);
   if (stride != 1 || c_in != c_out) {
     if (low_rank && factorize_downsample)
-      rd_ = pufferfish_rank(c_in, c_out, 1, rank_ratio);
+      rd_ = core::ratio_rank(c_in, c_out, rank_ratio);
     down_conv_ = make_conv(c_in, c_out, 1, stride, 0, rd_, rng);
     down_bn_ = std::make_unique<nn::BatchNorm2d>(c_out);
     register_child(down_conv_.get());

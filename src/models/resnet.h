@@ -2,7 +2,8 @@
 // (ImageNet, appendix Tables 14/15), with Pufferfish hybrid factorization.
 //
 // Factorization policy (verified against the paper's exact counts):
-//   rank = rank_ratio * min(c_in * k^2, c_out)  -- the "initial rank".
+//   rank = rank_ratio * min(c_in * k^2, c_out)  -- the "initial rank"
+//   (core::ratio_rank).
 // ResNet-18: hybrid keeps conv1 and the first basic block dense and
 // factorizes from the 2nd block on; downsample convs stay dense ("we did
 // not handle the downsample weights").
@@ -19,9 +20,6 @@
 #include "nn/layers.h"
 
 namespace pf::models {
-
-// Shared rank rule.
-int64_t pufferfish_rank(int64_t c_in, int64_t c_out, int64_t k, double ratio);
 
 // 3x3-3x3 residual block (ResNet-18/34 style).
 class BasicBlock : public nn::UnaryModule {

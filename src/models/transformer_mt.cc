@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/factorize.h"
+
 namespace pf::models {
+
+int64_t TransformerConfig::rank() const {
+  return core::ratio_rank(dm, dm, rank_ratio);
+}
 
 namespace {
 

@@ -25,9 +25,8 @@ struct TransformerConfig {
   int first_lowrank_layer = 0;
   double rank_ratio = 0.25;
 
-  int64_t rank() const {
-    return std::max<int64_t>(1, static_cast<int64_t>(dm * rank_ratio));
-  }
+  // Factorization rank of the (dm, dm) projections (core::ratio_rank).
+  int64_t rank() const;
 
   static TransformerConfig paper_vanilla() { return {}; }
   static TransformerConfig paper_pufferfish() {

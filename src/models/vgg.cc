@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/factorize.h"
+
 namespace pf::models {
 
 namespace {
@@ -32,13 +34,6 @@ int64_t scaled(int64_t w, double mult) {
   return std::max<int64_t>(1, static_cast<int64_t>(std::lround(w * mult)));
 }
 
-// Paper's rank rule: rank = ratio * min(c_in*k^2, c_out), the "initial rank"
-// of the unrolled layer.
-int64_t conv_rank(int64_t c_in, int64_t c_out, int64_t k, double ratio) {
-  const int64_t full = std::min(c_in * k * k, c_out);
-  return std::max<int64_t>(1, static_cast<int64_t>(full * ratio));
-}
-
 }  // namespace
 
 Vgg19::Vgg19(const VggConfig& cfg, Rng& rng) : cfg_(cfg) {
@@ -60,7 +55,7 @@ Vgg19::Vgg19(const VggConfig& cfg, Rng& rng) : cfg_(cfg) {
         cfg.k_first_lowrank > 0 && layer_idx >= cfg.k_first_lowrank;
     int64_t rank = 0;
     if (low_rank) {
-      rank = conv_rank(c_in, c_out, 3, cfg.rank_ratio);
+      rank = core::ratio_rank(c_in * 9, c_out, cfg.rank_ratio);
       features_.emplace<nn::LowRankConv2d>(c_in, c_out, 3, 1, 1, rank, rng);
     } else {
       features_.emplace<nn::Conv2d>(c_in, c_out, 3, 1, 1, rng);
@@ -81,8 +76,7 @@ Vgg19::Vgg19(const VggConfig& cfg, Rng& rng) : cfg_(cfg) {
     fc_ranks_.push_back(0);
   } else {
     const bool fc_lr = cfg.factorize_fc && cfg.k_first_lowrank > 0;
-    const int64_t fc_rank = std::max<int64_t>(
-        1, static_cast<int64_t>(feat * cfg.rank_ratio));
+    const int64_t fc_rank = core::ratio_rank(feat, feat, cfg.rank_ratio);
     for (int i = 0; i < 2; ++i) {
       if (fc_lr) {
         classifier_.emplace<nn::LowRankLinear>(feat, feat, fc_rank, rng);

@@ -51,7 +51,7 @@ class LowRankLinear : public UnaryModule {
   int64_t in_features() const { return in_; }
   int64_t out_features() const { return out_; }
   int64_t rank() const { return rank_; }
-  // Re-targets the rank (AB-style re-projection, nn/reproject.h). Updates
+  // Re-targets the rank (AB-style re-projection, core::reproject). Updates
   // only the bookkeeping: the caller must immediately re-factorize (or
   // apply_ranks-reshape) so u/v take their new (out, r)/(in, r) shapes.
   void set_rank(int64_t r) { rank_ = r; }

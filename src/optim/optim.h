@@ -45,7 +45,7 @@ class SGD : public Optimizer {
   std::vector<Tensor*> state_tensors() override;
 
   // Re-derives the velocity slots after a re-projection changed some
-  // parameter shapes (nn/reproject.h): slots whose shape still matches
+  // parameter shapes (core::reproject): slots whose shape still matches
   // their param keep their contents; changed ones restart from zero (the
   // re-SVD re-based those factors, so old momentum no longer applies).
   void rebind_slots();

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -22,12 +23,14 @@
 #include "compress/compressor.h"
 #include "compress/variance_gate.h"
 #include "core/checkpoint.h"
+#include "core/factorize.h"
 #include "core/rank_policy.h"
 #include "core/trainer.h"
 #include "dist/cluster.h"
+#include "models/lstm_lm.h"
 #include "models/resnet.h"
 #include "nn/layers.h"
-#include "nn/reproject.h"
+#include "nn/lstm.h"
 #include "nn/serialize.h"
 #include "runtime/shm_cluster.h"
 #include "tensor/matmul.h"
@@ -378,6 +381,20 @@ TEST(AdaptiveEF, SignumEFConvergesBelowPlainSignFloor) {
 
 // ---------------- defactorize / reproject ----------------
 
+// Every parameter of `a` matches `b` in shape and, within SVD round-off,
+// in value (conv weights 4-D, LSTM w_ih / w_hh with all four gates).
+void expect_params_close(nn::Module& a, nn::Module& b) {
+  const std::vector<nn::Param*> pa = a.parameters(), pb = b.parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i]->var->value.shape(), pb[i]->var->value.shape())
+        << pa[i]->name;
+    EXPECT_TRUE(allclose(pa[i]->var->value, pb[i]->var->value, 1e-3f, 1e-4f))
+        << pa[i]->name << " max diff "
+        << max_abs_diff(pa[i]->var->value, pb[i]->var->value);
+  }
+}
+
 TEST(AdaptiveReproject, DefactorizeThenFullRankReprojectReconstructs) {
   Rng rng(11);
   auto hybrid = std::make_unique<nn::Sequential>();
@@ -385,15 +402,15 @@ TEST(AdaptiveReproject, DefactorizeThenFullRankReprojectReconstructs) {
   auto vanilla = std::make_unique<nn::Sequential>();
   auto* fc = vanilla->emplace<nn::Linear>(6, 4, rng);
 
-  nn::defactorize(*hybrid, *vanilla);
+  core::defactorize(*hybrid, *vanilla);
   const Tensor dense = matmul_nt(lr->u->value, lr->v->value);
   EXPECT_TRUE(allclose(fc->weight->value, dense, 0.0f, 0.0f));
 
   // Re-projecting at full rank (fixed ratio 1.0 -> rank min(4,6) = 4) must
   // reconstruct the dense weight exactly up to SVD round-off.
   Rng svd_rng(7);
-  const nn::ReprojectReport rep =
-      nn::reproject(*vanilla, *hybrid, RankPolicy::fixed(1.0), svd_rng);
+  const core::ReprojectReport rep =
+      core::reproject(*vanilla, *hybrid, RankPolicy::fixed(1.0), svd_rng);
   ASSERT_EQ(rep.entries.size(), 1u);
   EXPECT_EQ(rep.entries[0].old_rank, 2);
   EXPECT_EQ(rep.entries[0].new_rank, 4);
@@ -403,6 +420,51 @@ TEST(AdaptiveReproject, DefactorizeThenFullRankReprojectReconstructs) {
   EXPECT_EQ(lr->v->value.shape(), (Shape{6, 4}));
   const Tensor rec = matmul_nt(lr->u->value, lr->v->value);
   EXPECT_TRUE(allclose(rec, fc->weight->value, 1e-3f, 1e-4f));
+
+  // The other layer pairs: at full rank, warm_start -> defactorize gives
+  // the dense weights back, and the hybrid computes the dense forward.
+  struct Case {
+    std::string name;
+    std::function<std::unique_ptr<nn::Module>(Rng&)> dense, low_rank;
+    Shape input;
+  };
+  const Case cases[] = {
+      {"conv stride 1",
+       [](Rng& r) { return std::make_unique<nn::Conv2d>(3, 5, 3, 1, 1, r); },
+       [](Rng& r) {
+         return std::make_unique<nn::LowRankConv2d>(3, 5, 3, 1, 1, 5, r);
+       },
+       Shape{2, 3, 6, 6}},
+      {"conv stride 2",
+       [](Rng& r) { return std::make_unique<nn::Conv2d>(4, 3, 3, 2, 1, r); },
+       [](Rng& r) {
+         return std::make_unique<nn::LowRankConv2d>(4, 3, 3, 2, 1, 3, r);
+       },
+       Shape{2, 4, 7, 7}},
+      {"lstm", [](Rng& r) { return std::make_unique<nn::LSTMLayer>(5, 4, r); },
+       [](Rng& r) {
+         return std::make_unique<nn::LowRankLSTMLayer>(5, 4, 4, r);
+       },
+       Shape{3, 2, 5}},
+  };
+  const auto forward = [](nn::Module& m, const Tensor& x) {
+    if (auto* u = dynamic_cast<nn::UnaryModule*>(&m))
+      return u->forward(ag::leaf(x))->value;
+    return dynamic_cast<nn::LstmBase&>(m).forward(ag::leaf(x), nullptr)->value;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto dense_model = c.dense(rng);
+    auto hybrid_model = c.low_rank(rng);
+    auto back = c.dense(rng);
+    Rng warm_rng(8);
+    core::warm_start(*dense_model, *hybrid_model, warm_rng);
+    core::defactorize(*hybrid_model, *back);
+    expect_params_close(*back, *dense_model);
+    const Tensor x = rng.randn(c.input);
+    EXPECT_TRUE(allclose(forward(*hybrid_model, x), forward(*dense_model, x),
+                         1e-3f, 1e-3f));
+  }
 }
 
 TEST(AdaptiveReproject, ApplyRanksValidatesBounds) {
@@ -410,17 +472,65 @@ TEST(AdaptiveReproject, ApplyRanksValidatesBounds) {
   auto hybrid = std::make_unique<nn::Sequential>();
   auto* lr = hybrid->emplace<nn::LowRankLinear>(6, 4, 2, rng);
 
-  EXPECT_EQ(nn::collect_ranks(*hybrid), (std::vector<int64_t>{2}));
-  EXPECT_THROW(nn::apply_ranks(*hybrid, {0}), std::runtime_error);
-  EXPECT_THROW(nn::apply_ranks(*hybrid, {5}), std::runtime_error);  // > min(4,6)
-  EXPECT_THROW(nn::apply_ranks(*hybrid, {2, 2}), std::runtime_error);
-  EXPECT_THROW(nn::apply_ranks(*hybrid, {}), std::runtime_error);
+  EXPECT_EQ(core::collect_ranks(*hybrid), (std::vector<int64_t>{2}));
+  EXPECT_THROW(core::apply_ranks(*hybrid, {0}), std::runtime_error);
+  // 5 > min(4, 6)
+  EXPECT_THROW(core::apply_ranks(*hybrid, {5}), std::runtime_error);
+  EXPECT_THROW(core::apply_ranks(*hybrid, {2, 2}), std::runtime_error);
+  EXPECT_THROW(core::apply_ranks(*hybrid, {}), std::runtime_error);
 
-  nn::apply_ranks(*hybrid, {3});
+  core::apply_ranks(*hybrid, {3});
   EXPECT_EQ(lr->rank(), 3);
   EXPECT_EQ(lr->u->value.shape(), (Shape{4, 3}));
   EXPECT_EQ(lr->v->value.shape(), (Shape{6, 3}));
-  EXPECT_EQ(nn::collect_ranks(*hybrid), (std::vector<int64_t>{3}));
+  EXPECT_EQ(core::collect_ranks(*hybrid), (std::vector<int64_t>{3}));
+}
+
+void append_buffers(nn::Module& m, std::vector<float>& out) {
+  for (const nn::Buffer& b : m.local_buffers())
+    out.insert(out.end(), b.value.data(), b.value.data() + b.value.numel());
+  for (nn::Module* c : m.children()) append_buffers(*c, out);
+}
+
+// Flat params followed by every buffer (BN running stats).
+std::vector<float> model_state(nn::Module& m) {
+  const Tensor flat = m.flat_params();
+  std::vector<float> out(flat.data(), flat.data() + flat.numel());
+  append_buffers(m, out);
+  return out;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(AdaptiveReproject, FixedRatioReprojectIsWarmStart) {
+  // warm_start and reproject are one walk: re-projecting under the model's
+  // own fixed ratio reproduces the warm start bit for bit.
+  Rng rng(41);
+  models::ResNetCifarConfig vc = models::ResNetCifarConfig::vanilla();
+  models::ResNetCifarConfig pc = models::ResNetCifarConfig::pufferfish();
+  vc.width_mult = pc.width_mult = 0.0625;
+  models::ResNet18Cifar resnet(vc, rng);
+  models::ResNet18Cifar warm(pc, rng);
+  models::ResNet18Cifar reproj(pc, rng);
+  Rng r1(5), r2(5);
+  core::warm_start(resnet, warm, r1);
+  core::reproject(resnet, reproj, RankPolicy::fixed(pc.rank_ratio), r2);
+  EXPECT_TRUE(bitwise_equal(model_state(warm), model_state(reproj)));
+  EXPECT_EQ(core::collect_ranks(warm), core::collect_ranks(reproj));
+
+  const models::LstmLmConfig lc = models::LstmLmConfig::tiny(16);
+  models::LstmLm lm(models::LstmLmConfig::tiny(), rng);
+  models::LstmLm lm_warm(lc, rng);
+  models::LstmLm lm_reproj(lc, rng);
+  Rng r3(6), r4(6);
+  core::warm_start(lm, lm_warm, r3);
+  core::reproject(lm, lm_reproj,
+                  RankPolicy::fixed(static_cast<double>(lc.rank) / lc.hidden),
+                  r4);
+  EXPECT_TRUE(bitwise_equal(model_state(lm_warm), model_state(lm_reproj)));
 }
 
 // ---------------- trainer integration + resume-bitwise ----------------

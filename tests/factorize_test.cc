@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include "core/amp.h"
+#include "models/resnet.h"
 #include "models/vgg.h"
 #include "tensor/matmul.h"
 
@@ -112,6 +113,42 @@ TEST(FactorizeConv, StridedLayerEquivalence) {
   Tensor x = rng.randn(Shape{1, 2, 7, 7});
   EXPECT_TRUE(allclose(lr.forward(ag::leaf(x))->value,
                        dense.forward(ag::leaf(x))->value, 1e-3f, 1e-3f));
+}
+
+TEST(FactorizeConv, OverRankThrows) {
+  // Rank 16 exceeds min(c_in k^2, c_out) = min(36, 8): the S^{1/2} split
+  // used to loop over 16 columns of the SVD's clamped 8-column factors.
+  Rng rng(9);
+  nn::Conv2d dense(4, 8, 3, 1, 1, rng);
+  nn::LowRankConv2d lr(4, 8, 3, 1, 1, /*rank=*/16, rng);
+  Rng svd_rng(8);
+  EXPECT_THROW(factorize_conv(dense, lr, svd_rng), std::runtime_error);
+  EXPECT_THROW(factorize_matrix(rng.randn(Shape{6, 4}), 0, svd_rng),
+               std::runtime_error);
+}
+
+TEST(FactorizeRank, RatioRuleClampsToFullRank) {
+  EXPECT_EQ(ratio_rank(36, 8, 0.25), 2);
+  EXPECT_EQ(ratio_rank(8, 36, 0.25), 2);
+  EXPECT_EQ(ratio_rank(36, 8, 1.0), 8);
+  EXPECT_EQ(ratio_rank(36, 8, 2.0), 8);
+  EXPECT_EQ(ratio_rank(36, 8, 0.01), 1);
+  EXPECT_EQ(ratio_rank(36, 8, 0.0), 1);
+  EXPECT_EQ(ratio_rank(36, 8, -1.0), 1);
+  EXPECT_EQ(ratio_rank(36, 8, std::nan("")), 1);
+  EXPECT_EQ(ratio_rank(36, 8, 1e300), 8);
+
+  // A hybrid built at an over-complete ratio clamps every layer, so its
+  // warm start stays in bounds.
+  Rng rng(10);
+  models::ResNetCifarConfig vc = models::ResNetCifarConfig::vanilla();
+  models::ResNetCifarConfig pc = models::ResNetCifarConfig::pufferfish();
+  vc.width_mult = pc.width_mult = 0.0625;
+  pc.rank_ratio = 2.0;
+  models::ResNet18Cifar vanilla(vc, rng);
+  models::ResNet18Cifar hybrid(pc, rng);
+  Rng svd_rng(9);
+  EXPECT_NO_THROW(warm_start(vanilla, hybrid, svd_rng));
 }
 
 TEST(WarmStart, Vgg19FullModelTransfer) {
