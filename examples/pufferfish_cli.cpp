@@ -14,9 +14,12 @@
 // vanilla model; anything in (0, 1] runs the full Pufferfish pipeline
 // (Algorithm 1) with the hybrid configuration from the paper, and a ratio
 // outside [0, 1] is an error.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -34,6 +37,9 @@ using namespace pf;
 
 namespace {
 
+// Flag values are parsed strictly: the whole value must be a number (a
+// finite double, or an integer in int range) and within the flag's range,
+// else the command fails with "error: --<flag> ...".
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -42,13 +48,34 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? dflt : it->second;
   }
+  [[noreturn]] void bad(const std::string& key, const std::string& what) const {
+    throw std::runtime_error("--" + key + " " + what + ", got '" +
+                             get(key, "") + "'");
+  }
   double get_d(const std::string& key, double dflt) const {
     auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atof(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v))
+      bad(key, "must be a finite number");
+    return v;
   }
-  int get_i(const std::string& key, int dflt) const {
+  int get_i(const std::string& key, int dflt,
+            int min = std::numeric_limits<int>::min()) const {
     auto it = flags.find(key);
-    return it == flags.end() ? dflt : std::atoi(it->second.c_str());
+    if (it == flags.end()) return dflt;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE ||
+        v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+      bad(key, "must be an integer");
+    if (v < min) bad(key, "must be >= " + std::to_string(min));
+    return static_cast<int>(v);
   }
 };
 
@@ -56,18 +83,24 @@ struct Args {
 // 0 trains the vanilla model.
 double rank_ratio(const Args& a) {
   const double r = a.get_d("rank-ratio", 0.25);
-  if (!(r >= 0 && r <= 1))
-    throw std::runtime_error("--rank-ratio must be in [0, 1], got " +
-                             a.get("rank-ratio", ""));
+  if (!(r >= 0 && r <= 1)) a.bad("rank-ratio", "must be in [0, 1]");
   return r;
+}
+
+// --width multiplies every layer's channel count.
+double width(const Args& a, double dflt) {
+  const double w = a.get_d("width", dflt);
+  if (!(w > 0)) a.bad("width", "must be > 0");
+  return w;
 }
 
 Args parse(int argc, char** argv) {
   Args a;
   if (argc >= 2) a.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) key = key.substr(2);
+    if (i + 1 == argc) throw std::runtime_error("--" + key + " needs a value");
     a.flags[key] = argv[i + 1];
   }
   return a;
@@ -150,32 +183,32 @@ data::SyntheticImages make_data(int64_t classes, int64_t hw) {
 
 int cmd_train(const Args& a) {
   const std::string model = a.get("model", "resnet18");
-  const double width = a.get_d("width", 0.125);
+  const double w = width(a, 0.125);
   const double ratio = rank_ratio(a);
-  const int64_t classes = a.get_i("classes", 10);
+  const int64_t classes = a.get_i("classes", 10, 1);
   const int64_t hw = model == "vgg19" ? 32 : 16;
 
-  core::VisionModelFactory vanilla = make_factory(model, width, classes, 0);
+  core::VisionModelFactory vanilla = make_factory(model, w, classes, 0);
   core::VisionModelFactory hybrid =
-      ratio > 0 ? make_factory(model, width, classes, ratio)
+      ratio > 0 ? make_factory(model, w, classes, ratio)
                 : core::VisionModelFactory{};
   if (!vanilla) return usage();
 
   core::VisionTrainConfig cfg;
-  cfg.epochs = a.get_i("epochs", 8);
-  cfg.warmup_epochs = a.get_i("warmup", 2);
-  cfg.batch = a.get_i("batch", 32);
+  cfg.epochs = a.get_i("epochs", 8, 1);
+  cfg.warmup_epochs = a.get_i("warmup", 2, 0);
+  cfg.batch = a.get_i("batch", 32, 1);
   cfg.lr = static_cast<float>(a.get_d("lr", 0.05));
   cfg.lr_milestones = {(3 * cfg.epochs) / 4};
   cfg.seed = static_cast<uint64_t>(a.get_i("seed", 0));
-  cfg.threads = a.get_i("threads", 0);  // 0 = PF_THREADS env default
+  cfg.threads = a.get_i("threads", 0, 0);  // 0 = PF_THREADS env default
   if (cfg.threads > 0) runtime::set_threads(cfg.threads);
 
   data::SyntheticImages ds = make_data(classes, hw);
   std::printf(
       "training %s (width %.3f, rank ratio %.3f) for %d epochs on %d "
       "thread(s)...\n",
-      model.c_str(), width, ratio, cfg.epochs, runtime::threads());
+      model.c_str(), w, ratio, cfg.epochs, runtime::threads());
   core::VisionResult r = core::train_vision(vanilla, hybrid, ds, cfg);
   for (const core::EpochRecord& e : r.epochs)
     std::printf("  epoch %2d [%s] loss %.3f acc %.1f%% (%.1fs)\n", e.epoch,
@@ -202,15 +235,14 @@ int cmd_train(const Args& a) {
 
 int cmd_eval(const Args& a) {
   const std::string model = a.get("model", "resnet18");
-  const double width = a.get_d("width", 0.125);
+  const double w = width(a, 0.125);
   const double ratio = rank_ratio(a);
-  const int64_t classes = a.get_i("classes", 10);
+  const int64_t classes = a.get_i("classes", 10, 1);
   const std::string ckpt = a.get("checkpoint", "");
   if (ckpt.empty()) return usage();
   const int64_t hw = model == "vgg19" ? 32 : 16;
 
-  core::VisionModelFactory factory =
-      make_factory(model, width, classes, ratio);
+  core::VisionModelFactory factory = make_factory(model, w, classes, ratio);
   if (!factory) return usage();
   Rng rng(1);
   auto m = factory(rng);
@@ -263,11 +295,11 @@ int cmd_inspect(const Args& a) {
 int cmd_plan(const Args& a) {
   plan::PlannerRequest req;
   req.model = a.get("model", "resnet18");
-  req.width = a.get_d("width", 1.0);
-  req.classes = a.get_i("classes", 10);
+  req.width = width(a, 1.0);
+  req.classes = a.get_i("classes", 10, 1);
   req.input_hw = a.get_i("input-hw", 32);
-  req.per_worker_batch = a.get_i("batch", 32);
-  req.epochs = a.get_i("epochs", 8);
+  req.per_worker_batch = a.get_i("batch", 32, 1);
+  req.epochs = a.get_i("epochs", 8, 1);
   req.images_per_epoch = a.get_d("images", 50000);
   req.accuracy_floor = a.get_d("floor", 0.96);
 
@@ -311,8 +343,8 @@ int cmd_plan(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
   try {
+    const Args a = parse(argc, argv);
     if (a.command == "train") return cmd_train(a);
     if (a.command == "eval") return cmd_eval(a);
     if (a.command == "inspect") return cmd_inspect(a);

@@ -168,15 +168,15 @@ PF_TARGET_AVX2 void pack_a(const float* a, int64_t lda, int64_t m, int64_t k0,
   }
 }
 
-// Dequantizing packs for the quantized-weight GEMMs (Backend::gemm_nt_q /
-// gemm_qa_nn). Identical panel layouts to pack_b / pack_a above, but the
-// source elements are expanded from int8 (scale * code) or bf16 (bit shift)
-// while they stream into the panel -- the dequantized matrix is never
-// materialized. Element values are computed with the exact expressions the
-// default dequant-then-GEMM path uses, so per backend the fused results are
-// bitwise identical to the defaults.
-
-// B stored quantized (n, k) feeding an NT GEMM (pack_b Trans::T layout).
+// Dequantizing pack for the quantized-weight GEMM (Backend::gemm_nt_q):
+// B stored quantized (n, k) feeding an NT GEMM, in the pack_b Trans::T
+// layout, but the source elements are expanded from int8 (scale * code) or
+// bf16 (bit shift) while they stream into the panel -- the dequantized
+// matrix is never materialized. Element values are computed with the exact
+// expressions dequant_rows uses, so the fused results are bitwise identical
+// to the default dequant-then-GEMM. (Quantized convs have no fused pack:
+// measured against dequantize-then-gemm_nn it bought nothing; see
+// EXPERIMENTS.md.)
 PF_TARGET_AVX2 void pack_b_qt(const QView& b, int64_t ldb, int64_t k,
                               int64_t n, float* bp) {
   const int64_t npc = ceil_div(k, KC), nstr = ceil_div(n, NR);
@@ -202,31 +202,6 @@ PF_TARGET_AVX2 void pack_b_qt(const QView& b, int64_t ldb, int64_t k,
       }
       for (int64_t j = nr; j < NR; ++j)
         for (int64_t kk = 0; kk < kc; ++kk) dst[kk * NR + j] = 0.0f;
-    }
-  }
-}
-
-// A stored quantized (m, k) feeding an NN GEMM (pack_a Trans::N layout);
-// `row0` is the parallel chunk's first output row.
-PF_TARGET_AVX2 void pack_a_qn(const QView& a, int64_t lda, int64_t row0,
-                              int64_t m, int64_t k0, int64_t kc, float* ap) {
-  const int64_t nstr = ceil_div(m, MR);
-  for (int64_t is = 0; is < nstr; ++is) {
-    const int64_t i0 = is * MR, mr = std::min(MR, m - i0);
-    float* dst = ap + is * (KC * MR);
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      float* d = dst + kk * MR;
-      for (int64_t r = 0; r < mr; ++r) {
-        const int64_t row = row0 + i0 + r;
-        const int64_t idx = row * lda + k0 + kk;
-        if (a.b16) {
-          const uint32_t u = static_cast<uint32_t>(a.b16[idx]) << 16;
-          std::memcpy(d + r, &u, sizeof(float));
-        } else {
-          d[r] = a.scales[row] * static_cast<float>(a.q[idx]);
-        }
-      }
-      for (int64_t r = mr; r < MR; ++r) d[r] = 0.0f;
     }
   }
 }
@@ -381,35 +356,6 @@ void gemm_packed(const float* a, int64_t lda, const float* b, int64_t ldb,
   });
 }
 
-// Row chunk of the quantized-A packed GEMM: like gemm_chunk<Trans::N>, with
-// pack_a_qn dequantizing the chunk's rows as they pack.
-PF_TARGET_AVX2 void gemm_chunk_qa(const QView& a, int64_t lda,
-                                  const float* bp_all, float* c, int64_t ldc,
-                                  int64_t r0, int64_t r1, int64_t k, int64_t n,
-                                  float* apack) {
-  const int64_t mc = r1 - r0;
-  const int64_t npc = ceil_div(k, KC);
-  const int64_t nstr_n = ceil_div(n, NR);
-  const int64_t nstr_m = ceil_div(mc, MR);
-  for (int64_t pc = 0; pc < npc; ++pc) {
-    const int64_t k0 = pc * KC, kc = std::min(KC, k - k0);
-    pack_a_qn(a, lda, r0, mc, k0, kc, apack);
-    for (int64_t js = 0; js < nstr_n; ++js) {
-      const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      const float* bp = bp_all + b_strip(pc, js, nstr_n, kc);
-      for (int64_t is = 0; is < nstr_m; ++is) {
-        const int64_t i0 = is * MR, mr = std::min(MR, mc - i0);
-        const float* ap = apack + is * (KC * MR);
-        float* ct = c + (r0 + i0) * ldc + j0;
-        if (mr == MR && nr == NR)
-          kern_6x16(kc, ap, bp, ct, ldc);
-        else
-          kern_edge(kc, ap, bp, ct, ldc, mr, nr);
-      }
-    }
-  }
-}
-
 class Avx2Backend final : public Backend {
  public:
   const char* name() const override { return "avx2"; }
@@ -452,9 +398,9 @@ class Avx2Backend final : public Backend {
     gemm_packed<Trans::N, Trans::T>(a, k, b, k, c, n, m, k, n);
   }
 
-  // Fused dequant-GEMMs. Below the packed cutoff the defaults (dequant into
-  // pooled scratch + this backend's own float GEMM) already win, so only the
-  // packed path carries the fused variants.
+  // Fused dequant-GEMM. Below the packed cutoff the default (dequant into
+  // pooled scratch + this backend's own float GEMM) already wins, so only
+  // the packed path carries the fused variant.
   void gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
                  int64_t k, int64_t n) const override {
     if (m * k * n < kPackedCutoff) {
@@ -467,21 +413,6 @@ class Avx2Backend final : public Backend {
     runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {
       Scratch apack(ceil_div(r1 - r0, MR) * KC * MR);
       gemm_chunk<Trans::N>(a, k, bp_all, c, n, r0, r1, k, n, apack.p);
-    });
-  }
-
-  void gemm_qa_nn(const QView& a, const float* b, float* c, int64_t m,
-                  int64_t k, int64_t n) const override {
-    if (m * k * n < kPackedCutoff) {
-      Backend::gemm_qa_nn(a, b, c, m, k, n);
-      return;
-    }
-    Scratch bpack(ceil_div(n, NR) * k * NR);
-    pack_b<Trans::N>(b, n, k, n, bpack.p);
-    const float* bp_all = bpack.p;
-    runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {
-      Scratch apack(ceil_div(r1 - r0, MR) * KC * MR);
-      gemm_chunk_qa(a, k, bp_all, c, n, r0, r1, k, n, apack.p);
     });
   }
 };

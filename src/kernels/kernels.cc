@@ -144,11 +144,6 @@ void Backend::col2im(const float* col, const ConvGeom& g, int64_t nb,
   });
 }
 
-namespace {
-
-// Dequantize `rows x cols` of a quantized operand into `out` (row-major
-// fp32). Elementwise and row-partitioned, so bitwise-stable across
-// PF_THREADS.
 void dequant_rows(const QView& v, int64_t rows, int64_t cols, float* out) {
   const int64_t grain = std::max<int64_t>(1, 16384 / std::max<int64_t>(1, cols));
   runtime::parallel_for(0, rows, grain, [=](int64_t r0, int64_t r1) {
@@ -170,26 +165,15 @@ void dequant_rows(const QView& v, int64_t rows, int64_t cols, float* out) {
   });
 }
 
-}  // namespace
-
 // Reference dequant-GEMM semantics: expand the quantized operand into pooled
-// scratch, then run this backend's own float GEMM. Fused overrides
-// (backend_avx2.cc) must match these bit-for-bit per backend.
+// scratch, then run this backend's own float GEMM. The fused override
+// (backend_avx2.cc) must match this bit-for-bit per backend.
 void Backend::gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
                         int64_t k, int64_t n) const {
   int64_t cap = 0;
   float* w = runtime::BufferPool::instance().acquire(n * k, &cap);
   dequant_rows(b, n, k, w);
   gemm_nt(a, w, c, m, k, n);
-  runtime::BufferPool::instance().release(w, cap);
-}
-
-void Backend::gemm_qa_nn(const QView& a, const float* b, float* c, int64_t m,
-                         int64_t k, int64_t n) const {
-  int64_t cap = 0;
-  float* w = runtime::BufferPool::instance().acquire(m * k, &cap);
-  dequant_rows(a, m, k, w);
-  gemm_nn(w, b, c, m, k, n);
   runtime::BufferPool::instance().release(w, cap);
 }
 

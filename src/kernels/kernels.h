@@ -1,8 +1,10 @@
 // Pluggable kernel backends with runtime dispatch.
 //
 // Every heavy-math entry point in the repo (matmul/bmm wrappers, im2col
-// convolution lowering, the fused low-rank forward) bottoms out in a
-// pf::kernels::Backend. Two backends exist:
+// convolution lowering, the fused low-rank forward, the quantized-weight
+// GEMM gemm_nt_q) bottoms out in a pf::kernels::Backend. Quantized convs
+// add no entry point: they dequantize their weight (dequant_rows) and run
+// the fp32 conv. Two backends exist:
 //
 //  * "scalar" -- the reference backend: the seed triple-loop kernels,
 //    bit-for-bit. Golden values, convergence gates, and cross-run
@@ -71,19 +73,20 @@ class Backend {
   virtual void col2im(const float* col, const ConvGeom& g, int64_t nb,
                       float* img) const;
 
-  // Quantized-weight GEMMs (the serving dequant-GEMM path; see qmat.h for
-  // the layout contract). Defaults dequantize the quantized operand into
-  // pooled scratch and call this backend's own float GEMM -- the reference
-  // semantics every fused override must match bit-for-bit.
-  //
-  // c[m,n] <- a[m,k] @ qb^T where qb is stored (n, k) with per-n scales.
-  // Same zero-filled-c contract as gemm_nt.
+  // Quantized-weight GEMM (the serving dequant-GEMM path; see qmat.h for
+  // the layout contract): c[m,n] <- a[m,k] @ qb^T where qb is stored (n, k)
+  // with per-n scales. Same zero-filled-c contract as gemm_nt. The default
+  // dequantizes qb into pooled scratch (dequant_rows) and calls this
+  // backend's own gemm_nt -- the reference semantics a fused override must
+  // match bit-for-bit.
   virtual void gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
                          int64_t k, int64_t n) const;
-  // c[m,n] += qa @ b[k,n] where qa is stored (m, k) with per-m scales.
-  virtual void gemm_qa_nn(const QView& a, const float* b, float* c, int64_t m,
-                          int64_t k, int64_t n) const;
 };
+
+// Dequantize `rows x cols` of a quantized operand into `out` (row-major
+// fp32): the one expansion loop behind every quantized forward.
+// Elementwise and row-partitioned, so bitwise-stable across PF_THREADS.
+void dequant_rows(const QView& v, int64_t rows, int64_t cols, float* out);
 
 // The active backend (resolves PF_BACKEND on first call; thread-safe).
 const Backend& active();

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 #include "runtime/buffer_pool.h"
 #include "trace/trace.h"
@@ -67,14 +66,6 @@ float dequant_at(const QuantizedMat& m, int64_t r, int64_t c) {
   return m.scales[static_cast<size_t>(r)] * static_cast<float>(m.q[idx]);
 }
 
-Tensor dequantize(const QuantizedMat& m) {
-  Tensor out = Tensor::uninit(Shape{m.rows, m.cols});
-  float* d = out.data();
-  for (int64_t r = 0; r < m.rows; ++r)
-    for (int64_t c = 0; c < m.cols; ++c) d[r * m.cols + c] = dequant_at(m, r, c);
-  return out;
-}
-
 namespace {
 
 void check_view(const QuantizedMat& m, const char* who) {
@@ -84,6 +75,13 @@ void check_view(const QuantizedMat& m, const char* who) {
 }
 
 }  // namespace
+
+Tensor dequantize(const QuantizedMat& m) {
+  check_view(m, "dequantize");
+  Tensor out = Tensor::uninit(Shape{m.rows, m.cols});
+  dequant_rows(m.view(), m.rows, m.cols, out.data());
+  return out;
+}
 
 Tensor qmatmul_nt(const Tensor& x, const QuantizedMat& w) {
   if (x.dim() != 2) throw std::runtime_error("qmatmul_nt: 2-D x required");
@@ -117,65 +115,6 @@ Tensor qlowrank_matmul(const Tensor& x, const QuantizedMat& vt,
   be.gemm_nt_q(t, u.view(), y.data(), m, r, out);
   runtime::BufferPool::instance().release(t, cap);
   return y;
-}
-
-Tensor qconv2d(const Tensor& x, const QuantizedMat& w, int64_t c_out,
-               int64_t kernel, int64_t stride, int64_t pad) {
-  if (x.dim() != 4) throw std::runtime_error("qconv2d: 4-D input required");
-  const int64_t n = x.size(0), c_in = x.size(1), h = x.size(2), wd = x.size(3);
-  const ConvGeom g{c_in, h, wd, kernel, stride, pad};
-  if (w.rows != c_out || w.cols != g.patch())
-    throw std::runtime_error("qconv2d: weight shape mismatch");
-  check_view(w, "qconv2d");
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t spatial = oh * ow, patch = g.patch();
-  PF_TRACE_SCOPE_C("qconv", n * c_out * patch * spatial);
-  const Backend& be = active();
-  const QView wv = w.view();
-  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
-  float* outp = out.data();
-  for_each_conv_chunk(
-      x.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
-        Tensor y(Shape{c_out, b * spatial});  // zero-filled: gemm_qa_nn +=
-        be.gemm_qa_nn(wv, col.data(), y.data(), c_out, patch, b * spatial);
-        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
-                      outp + i0 * c_out * spatial);
-      });
-  return out;
-}
-
-Tensor qlowrank_conv2d(const Tensor& x, const QuantizedMat& u,
-                       const QuantizedMat& v, int64_t kernel, int64_t stride,
-                       int64_t pad) {
-  if (x.dim() != 4)
-    throw std::runtime_error("qlowrank_conv2d: 4-D input required");
-  const int64_t n = x.size(0), c_in = x.size(1), h = x.size(2), wd = x.size(3);
-  const ConvGeom g{c_in, h, wd, kernel, stride, pad};
-  const int64_t r = u.rows, c_out = v.rows;
-  if (u.cols != g.patch())
-    throw std::runtime_error("qlowrank_conv2d: u shape mismatch");
-  if (v.cols != r) throw std::runtime_error("qlowrank_conv2d: v/u mismatch");
-  check_view(u, "qlowrank_conv2d");
-  check_view(v, "qlowrank_conv2d");
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  const int64_t spatial = oh * ow, patch = g.patch();
-  PF_TRACE_SCOPE_C("qlowrank_conv", n * spatial * r * (patch + c_out));
-  const Backend& be = active();
-  const QView uv = u.view();
-  const QView vv = v.view();
-  Tensor out = Tensor::uninit(Shape{n, c_out, oh, ow});
-  float* outp = out.data();
-  for_each_conv_chunk(
-      x.data(), g, n, true, [&](int64_t i0, int64_t b, const Tensor& col) {
-        Tensor mid(Shape{r, b * spatial});  // zero-filled: gemm_qa_nn +=
-        Tensor y(Shape{c_out, b * spatial});
-        be.gemm_qa_nn(uv, col.data(), mid.data(), r, patch, b * spatial);
-        be.gemm_qa_nn(vv, std::as_const(mid).data(), y.data(), c_out, r,
-                      b * spatial);
-        chunk_to_nchw(std::as_const(y).data(), c_out, b, spatial,
-                      outp + i0 * c_out * spatial);
-      });
-  return out;
 }
 
 }  // namespace pf::kernels

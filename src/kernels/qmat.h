@@ -5,23 +5,19 @@
 // (scale_r = max|W[r,:]| / 127, one fp32 scale per output row) or as bf16
 // (the upper 16 bits of the fp32 pattern, round-to-nearest-even). Rows are
 // always the *non-contracted* axis of the serving GEMM the matrix feeds, so
-// the per-row scale factors out of every dot product and the dequantized
-// product is exactly `scale[r] * (int accumulation)` -- which is why the
-// two Backend entry points below are the only quantized GEMM shapes the
-// whole engine zoo needs:
+// the per-row scale factors out of every dot product. Two ways serve the
+// whole engine zoo:
 //
-//  * gemm_nt_q : c[m,n] (+)= a[m,k] @ qb[n,k]^T  -- every matmul_nt-shaped
-//    layer GEMM (Linear W, low-rank U, and V stored transposed as (r, in)).
-//  * gemm_qa_nn: c[m,n]  += qa[m,k] @ b[k,n]     -- every im2col conv GEMM
-//    (dense conv W as (c_out, patch), low-rank conv U (r, patch) and
-//    V (c_out, r)).
-//
-// The defaults (kernels.cc) dequantize the quantized operand into pooled
-// scratch and call the backend's own float GEMM -- the scalar reference
-// semantics. The AVX2 backend overrides both with fused variants that
-// dequantize inside the operand packing (backend_avx2.cc), producing
-// bitwise-identical results to its own dequantize-then-GEMM at zero extra
-// memory traffic.
+//  * gemm_nt_q (Backend): c[m,n] (+)= a[m,k] @ qb[n,k]^T -- every
+//    matmul_nt-shaped layer GEMM (Linear W, low-rank U, and V stored
+//    transposed as (r, in)). The default dequantizes into pooled scratch
+//    and calls the backend's own float GEMM; the AVX2 backend overrides it
+//    with a fused variant that dequantizes inside the operand packing
+//    (backend_avx2.cc), bitwise identical to its own default.
+//  * dequantize-then-conv: a quantized conv (dense W as (c_out, patch),
+//    low-rank U (r, patch) and V (c_out, r)) dequantizes its weight once
+//    per forward and runs the fp32 conv (nn/layers.cc), so it is the fp32
+//    conv on the dequantized weight, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +69,11 @@ QuantizedMat quantize_rows(const float* w, int64_t rows, int64_t cols,
 // Tensor convenience: any shape, viewed as (size(0), numel/size(0)).
 QuantizedMat quantize_tensor(const Tensor& t, QMode mode);
 
-// Exact dequantized value of element (r, c) -- the reference the fused
-// paths must reproduce bit-for-bit.
+// Exact dequantized value of element (r, c) -- the per-element reference
+// the dequantizing paths must reproduce bit-for-bit.
 float dequant_at(const QuantizedMat& m, int64_t r, int64_t c);
-// Materialize the full fp32 matrix (rows, cols).
+// Materialize the full fp32 matrix (rows, cols) in a pooled tensor
+// (dequant_rows: parallel over rows).
 Tensor dequantize(const QuantizedMat& m);
 
 // ---- Tensor-level quantized forwards (serving fast paths) ----
@@ -89,17 +86,5 @@ Tensor qmatmul_nt(const Tensor& x, const QuantizedMat& w);
 // y = (x @ vt^T) @ u^T, one pooled (m, r) scratch between the two GEMMs.
 Tensor qlowrank_matmul(const Tensor& x, const QuantizedMat& vt,
                        const QuantizedMat& u);
-
-// Dense conv with the weight quantized as (c_out, c_in*k*k): chunked im2col
-// (tensor/im2col.h: for_each_conv_chunk) + one gemm_qa_nn per chunk,
-// mirroring ag::conv2d's forward.
-Tensor qconv2d(const Tensor& x, const QuantizedMat& w, int64_t c_out,
-               int64_t kernel, int64_t stride, int64_t pad);
-
-// Fused low-rank conv: u quantized as (r, c_in*k*k), v as (c_out, r); per
-// chunk of samples, im2col, U @ col into a chunk-wide `mid`, then V @ mid.
-Tensor qlowrank_conv2d(const Tensor& x, const QuantizedMat& u,
-                       const QuantizedMat& v, int64_t kernel, int64_t stride,
-                       int64_t pad);
 
 }  // namespace pf::kernels

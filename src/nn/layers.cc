@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.h"
 
@@ -16,6 +17,16 @@ void check_quantized_eval_only(const char* layer) {
     throw std::runtime_error(std::string(layer) +
                              ": quantized weights are eval-only (tape-free "
                              "forwards); dequantize before training");
+}
+
+// A quantized conv slot as the fp32 weight it stands for: dequantized once
+// per forward into a pooled tensor and viewed as the 4-D conv weight, so a
+// quantized conv is the fp32 conv on the dequantized weight, bit for bit.
+ag::Var dequantized_conv_weight(const kernels::QuantizedMat& q,
+                                Shape shape) {
+  if (q.rows != shape[0])
+    throw std::runtime_error("quantized conv: weight rows mismatch");
+  return ag::leaf(kernels::dequantize(q).reshape(std::move(shape)));
 }
 
 }  // namespace
@@ -83,8 +94,9 @@ Conv2d::Conv2d(int64_t c_in, int64_t c_out, int64_t kernel, int64_t stride,
 ag::Var Conv2d::forward(const ag::Var& x) {
   if (qweight) {
     check_quantized_eval_only("Conv2d");
-    return ag::leaf(
-        kernels::qconv2d(x->value, *qweight, c_out_, kernel_, stride_, pad_));
+    const Shape shape{c_out_, c_in_, kernel_, kernel_};
+    return ag::conv2d(x, dequantized_conv_weight(*qweight, shape), stride_,
+                      pad_);
   }
   return ag::conv2d(x, weight, stride_, pad_);
 }
@@ -107,8 +119,10 @@ LowRankConv2d::LowRankConv2d(int64_t c_in, int64_t c_out, int64_t kernel,
 ag::Var LowRankConv2d::forward(const ag::Var& x) {
   if (qu) {
     check_quantized_eval_only("LowRankConv2d");
-    return ag::leaf(
-        kernels::qlowrank_conv2d(x->value, *qu, *qv, kernel_, stride_, pad_));
+    const int64_t r = qu->rows;
+    return ag::lowrank_conv2d(
+        x, dequantized_conv_weight(*qu, Shape{r, c_in_, kernel_, kernel_}),
+        dequantized_conv_weight(*qv, Shape{c_out_, r, 1, 1}), stride_, pad_);
   }
   // Tape-free forwards (eval, frozen serve) fuse the two convolutions per
   // chunk of samples, skipping the full (N, r, oh, ow) intermediate and the

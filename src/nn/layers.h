@@ -18,10 +18,12 @@
 namespace pf::nn {
 
 // Quantized-weight slot (DESIGN.md §14). When quant::quantize_module sets a
-// layer's slot(s), tape-free forwards (eval / frozen serve) run the fused
-// dequant-GEMM kernels instead of the fp32 params; after quant::commit the
-// fp32 weight tensors are released entirely. Quantized layers are
-// serving-only: forward throws if called with gradients enabled.
+// layer's slot(s), tape-free forwards (eval / frozen serve) run on the
+// slots instead of the fp32 params -- Linear-shaped layers through the
+// dequant-GEMM kernels, convs as the fp32 conv on the dequantized weight;
+// after quant::commit the fp32 weight tensors are released entirely.
+// Quantized layers are serving-only: forward throws if called with
+// gradients enabled.
 using QWeight = std::shared_ptr<const kernels::QuantizedMat>;
 
 class Linear : public UnaryModule {

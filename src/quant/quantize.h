@@ -3,8 +3,8 @@
 // quantize_module() walks the tree and fills every eligible layer's
 // quantized-weight slot (nn::QWeight) with per-output-row int8 symmetric
 // codes or bf16, computed from the trained fp32 weights. The fp32 masters
-// are kept, so eval runs the fused dequant-GEMM kernels (slots take
-// priority in tape-free forwards) while rollback() can restore the fp32
+// are kept, so eval runs the quantized forwards (slots take priority in
+// tape-free forwards) while rollback() can restore the fp32
 // path bit-for-bit. commit() releases the fp32 masters entirely: the
 // serving footprint becomes the quantized codes plus whatever stayed fp32
 // (biases, norms, embeddings).

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "metrics/metrics.h"
+#include "runtime/thread_pool.h"
 #include "trace/trace.h"
 
 namespace pf::runtime {
@@ -157,6 +158,7 @@ ShmDataParallelTrainer::ShmDataParallelTrainer(
     std::unique_ptr<compress::Reducer> reducer, const ShmClusterConfig& cfg)
     : cfg_(cfg), reducer_(std::move(reducer)) {
   if (cfg_.workers < 1) cfg_.workers = 1;
+  if (cfg_.train.threads > 0) set_threads(cfg_.train.threads);
   // A missing or plain-allreduce reducer means the payload sums, so the
   // worker threads can execute the bucketed reduction themselves.
   ring_path_ = !reducer_ || reducer_->name() == "allreduce";

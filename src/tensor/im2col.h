@@ -48,7 +48,8 @@ void im2col(const float* img, const ConvGeom& g, float* col, int64_t nb = 1);
 void col2im(const float* col, const ConvGeom& g, float* img, int64_t nb = 1);
 
 // The chunked lowering behind every conv path (ag::conv2d forward and
-// backward, ag::lowrank_conv2d, kernels::qconv2d and qlowrank_conv2d).
+// backward, ag::lowrank_conv2d; quantized convs run these on dequantized
+// weights).
 // Splits the n images at `x` into chunks of conv_chunk(g, n) samples and
 // calls fn(i0, b, col) per chunk, where `col` is the (patch, b*spatial)
 // column matrix of images [i0, i0 + b). With lower == false `col` is left

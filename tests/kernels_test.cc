@@ -23,6 +23,7 @@
 #include "autograd/ops.h"
 #include "gradcheck.h"
 #include "kernels/qmat.h"
+#include "nn/layers.h"
 #include "runtime/thread_pool.h"
 #include "tensor/im2col.h"
 #include "tensor/matmul.h"
@@ -430,12 +431,8 @@ TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
   const Tensor at = rng.randn(Shape{K, M});  // gemm_tn's (k, m) operand
   const Tensor b = rng.randn(Shape{K, N});
   const Tensor c0 = rng.randn(Shape{M, N});
-  const kernels::QuantizedMat qa8 =
-      kernels::quantize_rows(a.data(), M, K, kernels::QMode::kInt8);
-  const kernels::QuantizedMat qa16 =
-      kernels::quantize_rows(a.data(), M, K, kernels::QMode::kBf16);
 
-  enum class Op { kNN, kTN, kQa8, kQa16 };
+  enum class Op { kNN, kTN };
   // C block (r0, m) x (j0, n) after the op over the matching operand blocks.
   auto run = [&](Op op, int64_t r0, int64_t m, int64_t j0, int64_t n) {
     Tensor c = block(c0, r0, m, j0, n);
@@ -452,16 +449,6 @@ TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
         be.gemm_tn(ab.data(), bb.data(), c.data(), m, K, n);
         break;
       }
-      case Op::kQa8:
-      case Op::kQa16: {
-        const kernels::QuantizedMat& q = op == Op::kQa8 ? qa8 : qa16;
-        kernels::QView v = q.view();
-        if (v.q) v.q += r0 * K;
-        if (v.b16) v.b16 += r0 * K;
-        if (v.scales) v.scales += r0;
-        be.gemm_qa_nn(v, bb.data(), c.data(), m, K, n);
-        break;
-      }
     }
     return c;
   };
@@ -471,7 +458,7 @@ TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
   const std::pair<int64_t, int64_t> cols[] = {{0, N}, {0, 4}, {28, 4}};
   for (const char* backend : {"scalar", "avx2"}) {
     if (!kernels::set_backend(backend)) continue;  // avx2 host gate
-    for (Op op : {Op::kNN, Op::kTN, Op::kQa8, Op::kQa16}) {
+    for (Op op : {Op::kNN, Op::kTN}) {
       const Tensor full = run(op, 0, M, 0, N);
       for (const auto& [r0, m] : rows)
         for (const auto& [j0, n] : cols)
@@ -523,7 +510,6 @@ TEST(KernelsConvChunk, BatchForwardEqualsPerSampleForwards) {
     const Tensor w = rng.randn(Shape{c.c_out, c.c_in, c.k, c.k});
     const Tensor u = rng.randn(Shape{c.r, c.c_in, c.k, c.k});
     const Tensor v = rng.randn(Shape{c.c_out, c.r, 1, 1});
-    const int64_t patch = geom(c).patch();
     std::vector<std::pair<const char*, std::function<Tensor(const Tensor&)>>>
         paths = {
             {"conv2d",
@@ -538,20 +524,25 @@ TEST(KernelsConvChunk, BatchForwardEqualsPerSampleForwards) {
                    ->value;
              }},
         };
+    // The quantized layer forwards: int8 and bf16 slots on nn::Conv2d and
+    // nn::LowRankConv2d.
     for (kernels::QMode mode : {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
-      auto qw = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_rows(w.data(), c.c_out, patch, mode));
-      auto qu = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_rows(u.data(), c.r, patch, mode));
-      auto qv = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_rows(v.data(), c.c_out, c.r, mode));
-      paths.push_back({"qconv2d", [=](const Tensor& xi) {
-                         return kernels::qconv2d(xi, *qw, c.c_out, c.k,
-                                                 c.stride, c.pad);
+      Rng lr(66);
+      auto conv = std::make_shared<nn::Conv2d>(c.c_in, c.c_out, c.k, c.stride,
+                                               c.pad, lr);
+      conv->qweight = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_tensor(w, mode));
+      auto lowrank = std::make_shared<nn::LowRankConv2d>(
+          c.c_in, c.c_out, c.k, c.stride, c.pad, c.r, lr);
+      lowrank->qu = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_tensor(u, mode));
+      lowrank->qv = std::make_shared<kernels::QuantizedMat>(
+          kernels::quantize_tensor(v, mode));
+      paths.push_back({"quantized Conv2d", [=](const Tensor& xi) {
+                         return conv->forward(ag::leaf(xi))->value;
                        }});
-      paths.push_back({"qlowrank_conv2d", [=](const Tensor& xi) {
-                         return kernels::qlowrank_conv2d(xi, *qu, *qv, c.k,
-                                                         c.stride, c.pad);
+      paths.push_back({"quantized LowRankConv2d", [=](const Tensor& xi) {
+                         return lowrank->forward(ag::leaf(xi))->value;
                        }});
     }
     for (const char* backend : {"scalar", "avx2"}) {

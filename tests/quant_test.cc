@@ -20,6 +20,7 @@
 #include "fault/fault.h"
 #include "kernels/qmat.h"
 #include "models/resnet.h"
+#include "nn/layers.h"
 #include "nn/serialize.h"
 #include "quant/delta.h"
 #include "quant/qcheckpoint.h"
@@ -133,6 +134,69 @@ TEST(Quant, QuantizedGemmsMatchDequantReferencePerBackend) {
           << name << " mode " << static_cast<int>(mode);
     }
   }
+  kernels::set_backend(prev.c_str());
+}
+
+// A quantized conv is the fp32 conv on the dequantized weight: the
+// quantized Conv2d / LowRankConv2d forwards equal, bitwise, the fp32
+// forwards of the same layers with weights dequantize(slot), per backend,
+// per thread count, for int8 and bf16 and strides 1 and 2. The dequantized
+// weights themselves equal dequant_at element for element.
+TEST(Quant, QuantizedConvForwardsEqualFp32ConvOnDequantizedWeights) {
+  const std::string prev = kernels::backend_name();
+  ThreadGuard tg;
+  ag::NoGradGuard ng;
+  Rng rng(5);
+  const Tensor x = rng.randn(Shape{5, 16, 8, 8});
+  auto check = [&](const char* backend) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    for (int threads : {1, 4}) {
+      runtime::set_threads(threads);
+      for (kernels::QMode mode :
+           {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
+        for (int64_t stride : {1, 2}) {
+          const std::string where =
+              std::string(backend) + " threads " + std::to_string(threads) +
+              " mode " + std::to_string(static_cast<int>(mode)) + " stride " +
+              std::to_string(stride);
+          auto slot = [&](const ag::Var& w) {
+            auto q = std::make_shared<kernels::QuantizedMat>(
+                kernels::quantize_tensor(w->value, mode));
+            const Tensor d = kernels::dequantize(*q);
+            for (int64_t r = 0; r < q->rows; ++r)
+              for (int64_t c = 0; c < q->cols; ++c)
+                EXPECT_EQ(std::as_const(d).data()[r * q->cols + c],
+                          kernels::dequant_at(*q, r, c))
+                    << where;
+            w->value = d.reshape(w->value.shape());  // the fp32 reference
+            return q;
+          };
+          Rng lr(6);
+          nn::Conv2d conv(16, 24, 3, stride, 1, lr);
+          nn::LowRankConv2d lowrank(16, 24, 3, stride, 1, 6, lr);
+          auto qw = slot(conv.weight);
+          auto qu = slot(lowrank.u);
+          auto qv = slot(lowrank.v);
+          const Tensor conv_ref = conv.forward(ag::leaf(x))->value;
+          const Tensor lowrank_ref = lowrank.forward(ag::leaf(x))->value;
+          conv.qweight = qw;
+          lowrank.qu = qu;
+          lowrank.qv = qv;
+          EXPECT_TRUE(bitwise_equal(conv.forward(ag::leaf(x))->value, conv_ref))
+              << "Conv2d " << where;
+          EXPECT_TRUE(bitwise_equal(lowrank.forward(ag::leaf(x))->value,
+                                    lowrank_ref))
+              << "LowRankConv2d " << where;
+        }
+      }
+    }
+  };
+  check("scalar");
+  if (!kernels::avx2_supported()) {
+    kernels::set_backend(prev.c_str());
+    GTEST_SKIP() << "host CPU lacks AVX2/FMA; avx2 backend unavailable";
+  }
+  check("avx2");
   kernels::set_backend(prev.c_str());
 }
 

@@ -285,6 +285,19 @@ TEST(ShmCluster, WorkerRngStreamsAreDistinct) {
       EXPECT_NE(firsts[i], firsts[j]);
 }
 
+// DistTrainConfig::threads applies at construction, as
+// VisionTrainConfig::threads does: > 0 sets the kernel thread count.
+TEST(ShmCluster, TrainThreadsSetsKernelThreadCount) {
+  ThreadGuard tg;
+  runtime::set_threads(1);
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = 2;
+  scfg.train.threads = 2;
+  runtime::ShmDataParallelTrainer shm(tiny_resnet_factory(false), nullptr,
+                                      scfg);
+  EXPECT_EQ(runtime::threads(), 2);
+}
+
 // ---- End-to-end determinism sweep across kernel thread counts. ----
 //
 // The per-kernel memcmp checks above prove each primitive is stable; these
