@@ -30,13 +30,12 @@ int main() {
   // ATOMO arm: every step SVDs every matrix gradient.
   double atomo_encode_s = 0;
   {
-    Rng rng(3);
-    dist::DataParallelTrainer trainer(
-        make_resnet18(0.125, 0)(rng),
+    runtime::ShmDataParallelTrainer trainer = make_cluster(
+        make_resnet18(0.125, 0),
         std::make_unique<compress::AtomoReducer>(4, 7), nodes, cfg);
     for (int e = 0; e < cfg.epochs; ++e) {
       dist::DistEpochRecord rec = trainer.train_epoch(ds, e);
-      atomo_encode_s += rec.breakdown.encode_s * nodes;  // total work
+      atomo_encode_s += rec.priced.encode_s * nodes;  // total work
     }
   }
 

@@ -2,7 +2,8 @@
 // adaptive-rank training additions (extends Table 20's trade-off study).
 //
 // Four arms on the ResNet-18-class CIFAR-like setup of Figure 4(b), all on
-// the modeled 8-node cluster with REAL gradients and REAL payload bytes:
+// the 8-worker data-parallel executor with REAL gradients and REAL payload
+// bytes:
 //  (a) vanilla SGD + dense allreduce            -- accuracy ceiling, most bytes
 //  (b) fixed-rank Pufferfish (warm-up + SVD)    -- the paper's recipe
 //  (c) Pufferfish, variance-gated warm-up       -- VarianceGateReducer trims
@@ -11,7 +12,7 @@
 //      full-rank refresh round, then re-SVD with policy-chosen ranks
 //
 // The bytes axis is cumulative per-worker payload over the WHOLE run
-// (dist::DataParallelTrainer::cumulative_bytes_per_worker), so warm-up
+// (runtime::ShmDataParallelTrainer::cumulative_bytes_per_worker), so warm-up
 // savings and refresh-round costs both land in the frontier. The acceptance
 // claim: at least one adaptive arm strictly dominates fixed-rank Pufferfish
 // (fewer bytes at equal-or-better accuracy).
@@ -55,15 +56,14 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
                   const data::SyntheticImages& ds, int nodes,
                   const dist::DistTrainConfig& cfg, int warmup_epochs,
                   const core::RankPolicy& policy) {
-  Rng rng(13);
   std::unique_ptr<compress::Reducer> warm_reducer;
   if (spec.variance_gate)
     warm_reducer = std::make_unique<compress::VarianceGateReducer>(
         spec.vg_threshold, /*warmup_steps=*/4);
   else
     warm_reducer = std::make_unique<compress::AllreduceReducer>();
-  dist::DataParallelTrainer trainer(vf(rng), std::move(warm_reducer), nodes,
-                                    cfg);
+  runtime::ShmDataParallelTrainer trainer =
+      make_cluster(vf, std::move(warm_reducer), nodes, cfg);
   ArmResult out;
   out.name = spec.name;
   for (int e = 0; e < cfg.epochs; ++e) {
@@ -74,10 +74,7 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
         out.layers_sent = vg->layers_sent();
         out.layers_skipped = vg->layers_skipped();
       }
-      std::unique_ptr<nn::UnaryModule> hybrid = hf(rng);
-      Rng svd_rng(17);
-      core::warm_start(trainer.model(), *hybrid, svd_rng);
-      trainer.replace_model(std::move(hybrid),
+      trainer.replace_model(hf, warm_start_with(17),
                             std::make_unique<compress::AllreduceReducer>());
     }
     const bool refresh = spec.reproject_every > 0 && spec.hybrid &&
@@ -86,18 +83,20 @@ ArmResult run_arm(const ArmSpec& spec, const core::VisionModelFactory& vf,
     if (refresh) {
       // AB refresh round: densify and train this epoch at full rank (its
       // dense allreduce payload lands in the bytes axis)...
-      std::unique_ptr<nn::UnaryModule> vanilla = vf(rng);
-      core::defactorize(trainer.model(), *vanilla);
-      trainer.replace_model(std::move(vanilla), nullptr);
+      trainer.replace_model(
+          vf, [](nn::UnaryModule& from, nn::UnaryModule& to) {
+            core::defactorize(from, to);
+          });
       ++out.refreshes;
     }
     out.records.push_back(trainer.train_epoch(ds, e));
     if (refresh) {
       // ...then re-SVD back to low rank with policy-chosen per-layer ranks.
-      std::unique_ptr<nn::UnaryModule> hybrid = hf(rng);
-      Rng svd_rng(static_cast<uint64_t>(17 + e));
-      core::reproject(trainer.model(), *hybrid, policy, svd_rng);
-      trainer.replace_model(std::move(hybrid), nullptr);
+      trainer.replace_model(
+          hf, [&](nn::UnaryModule& from, nn::UnaryModule& to) {
+            Rng svd_rng(static_cast<uint64_t>(17 + e));
+            core::reproject(from, to, policy, svd_rng);
+          });
     }
   }
   out.final_acc = out.records.back().test_acc;
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
 
   banner("Adaptive-rank frontier: bytes vs accuracy",
          "extends Pufferfish Table 20 with adaptive-rank arms",
-         "8-node alpha-beta simulator, real grads/payloads; variance-gated "
+         "8 worker threads, real grads/payloads; variance-gated "
          "warm-up (Tsuzuku et al.) and AB-style re-projection rounds");
 
   const int64_t classes = g_smoke ? 4 : 10;

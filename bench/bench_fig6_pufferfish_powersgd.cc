@@ -7,7 +7,6 @@
 // extra encode/decode on every (U, V) layer pair.
 #include "common.h"
 
-#include "core/factorize.h"
 #include "dist/cluster.h"
 
 using namespace bench;
@@ -56,21 +55,16 @@ int main() {
       acfg.momentum = 0.0f;
       acfg.lr_warmup_start = 0.002f;
     }
-    Rng rng(29);
-    dist::DataParallelTrainer trainer(make_resnet18(0.125, 0)(rng),
-                                      arm.reducer(), nodes, acfg);
+    runtime::ShmDataParallelTrainer trainer =
+        make_cluster(make_resnet18(0.125, 0), arm.reducer(), nodes, acfg);
     dist::DistEpochRecord last;
     for (int e = 0; e < acfg.epochs; ++e) {
-      if (arm.pufferfish && e == kSwitch) {
-        std::unique_ptr<nn::UnaryModule> hybrid =
-            make_resnet18(0.125, 2)(rng);
-        Rng svd_rng(31);
-        core::warm_start(trainer.model(), *hybrid, svd_rng);
-        trainer.replace_model(std::move(hybrid), arm.reducer());
-      }
+      if (arm.pufferfish && e == kSwitch)
+        trainer.replace_model(make_resnet18(0.125, 2), warm_start_with(31),
+                              arm.reducer());
       last = trainer.train_epoch(ds, e);
     }
-    const dist::EpochBreakdown& b = last.breakdown;
+    const dist::EpochBreakdown& b = last.priced;
     bt.add_row({arm.name, metrics::fmt(b.compute_s, 3),
                 metrics::fmt(b.encode_s, 3), metrics::fmt(b.comm_s, 3),
                 metrics::fmt(b.decode_s, 3), metrics::fmt(b.total(), 3),

@@ -41,12 +41,11 @@ int main() {
                       "decode (s)", "epoch total (s)"});
     double decode_binary = 0, encode_binary = 0;
     for (Arm& arm : arms) {
-      Rng rng(37);
-      dist::DataParallelTrainer trainer(
-          make_resnet50(0.125, arm.pufferfish)(rng), std::move(arm.reducer),
-          /*nodes=*/16, cfg);
+      runtime::ShmDataParallelTrainer trainer =
+          make_cluster(make_resnet50(0.125, arm.pufferfish),
+                       std::move(arm.reducer), /*workers=*/16, cfg);
       dist::DistEpochRecord rec = trainer.train_epoch(ds, 0);
-      const dist::EpochBreakdown& b = rec.breakdown;
+      const dist::EpochBreakdown& b = rec.priced;
       if (arm.name == "binary quantization") {
         decode_binary = b.decode_s;
         encode_binary = b.encode_s;
@@ -66,16 +65,14 @@ int main() {
     metrics::Table t({"nodes", "decode (s)", "decode per node (s)"});
     double first_decode = 0, last_decode = 0;
     for (int nodes : {2, 4, 8, 16}) {
-      Rng rng(41);
-      dist::DataParallelTrainer trainer(
-          make_resnet50(0.125, false)(rng),
+      runtime::ShmDataParallelTrainer trainer = make_cluster(
+          make_resnet50(0.125, false),
           std::make_unique<compress::BinaryQuantReducer>(11), nodes, cfg);
-      dist::DistEpochRecord rec = trainer.train_epoch(ds, 0);
-      if (nodes == 2) first_decode = rec.breakdown.decode_s;
-      last_decode = rec.breakdown.decode_s;
-      t.add_row({std::to_string(nodes),
-                 metrics::fmt(rec.breakdown.decode_s, 3),
-                 metrics::fmt(rec.breakdown.decode_s / nodes, 4)});
+      const dist::EpochBreakdown b = trainer.train_epoch(ds, 0).priced;
+      if (nodes == 2) first_decode = b.decode_s;
+      last_decode = b.decode_s;
+      t.add_row({std::to_string(nodes), metrics::fmt(b.decode_s, 3),
+                 metrics::fmt(b.decode_s / nodes, 4)});
     }
     t.print();
     std::printf(

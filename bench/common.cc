@@ -3,9 +3,28 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/factorize.h"
 #include "trace/trace.h"
 
 namespace bench {
+
+runtime::ShmDataParallelTrainer make_cluster(
+    const core::VisionModelFactory& make,
+    std::unique_ptr<compress::Reducer> reducer, int workers,
+    const dist::DistTrainConfig& cfg) {
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = workers;
+  scfg.train = cfg;
+  return runtime::ShmDataParallelTrainer(make, std::move(reducer), scfg);
+}
+
+runtime::ShmDataParallelTrainer::ModelTransfer warm_start_with(
+    uint64_t svd_seed) {
+  return [svd_seed](nn::UnaryModule& from, nn::UnaryModule& to) {
+    Rng svd_rng(svd_seed);
+    core::warm_start(from, to, svd_rng);
+  };
+}
 
 data::SyntheticImages cifar_like(int64_t classes, int64_t hw, int64_t train,
                                  int64_t test, float noise, uint64_t seed) {

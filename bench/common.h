@@ -13,6 +13,7 @@
 #include "models/resnet.h"
 #include "models/transformer_mt.h"
 #include "models/vgg.h"
+#include "runtime/shm_cluster.h"
 
 namespace bench {
 
@@ -36,6 +37,20 @@ core::VisionModelFactory make_resnet18(double width, int first_lowrank_block,
 core::VisionModelFactory make_resnet50(double width, bool factorize_stage4,
                                        int64_t classes = 20,
                                        bool wide = false);
+
+// The data-parallel executor with `workers` threads standing in for the
+// paper's nodes. Each epoch record's `priced` breakdown is the paper-cluster
+// view (10 Gbps alpha-beta comm over the real payload bytes) the
+// distributed benches print.
+runtime::ShmDataParallelTrainer make_cluster(
+    const core::VisionModelFactory& make,
+    std::unique_ptr<compress::Reducer> reducer, int workers,
+    const dist::DistTrainConfig& cfg);
+
+// Algorithm 1's vanilla -> hybrid transfer for replace_model: the truncated
+// SVD warm start, on an Rng seeded with `svd_seed`.
+runtime::ShmDataParallelTrainer::ModelTransfer warm_start_with(
+    uint64_t svd_seed);
 
 // Standard scaled training recipes (kept here so benches agree).
 // VGG-19 (deep, residual-free) needs ~14 epochs to take off at this scale;

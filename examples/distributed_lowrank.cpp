@@ -1,27 +1,28 @@
-// Distributed data-parallel training with the cluster simulator: vanilla
-// SGD vs Pufferfish vs SIGNUM vs PowerSGD on a 16-node (simulated) cluster,
+// Distributed data-parallel training on the shared-memory executor:
+// vanilla SGD vs Pufferfish vs SIGNUM vs PowerSGD with 16 worker threads,
 // reporting the per-epoch compute/encode/communicate/decode breakdown the
-// paper's Figure 4 charts.
+// paper's Figure 4 charts, priced on the paper's 16-node 10 Gbps cluster.
 //
 // Build & run:  ./build/examples/distributed_lowrank
 #include <cstdio>
 
-#include "dist/cluster.h"
 #include "metrics/metrics.h"
 #include "models/resnet.h"
+#include "runtime/shm_cluster.h"
 
 using namespace pf;
 
 namespace {
 
-std::unique_ptr<nn::UnaryModule> make_model(bool pufferfish) {
-  Rng rng(7);
-  models::ResNetCifarConfig cfg =
-      pufferfish ? models::ResNetCifarConfig::pufferfish()
-                 : models::ResNetCifarConfig::vanilla();
-  cfg.width_mult = 0.125;
-  cfg.num_classes = 8;
-  return std::make_unique<models::ResNet18Cifar>(cfg, rng);
+core::VisionModelFactory make_model(bool pufferfish) {
+  return [pufferfish](Rng& rng) -> std::unique_ptr<nn::UnaryModule> {
+    models::ResNetCifarConfig cfg =
+        pufferfish ? models::ResNetCifarConfig::pufferfish()
+                   : models::ResNetCifarConfig::vanilla();
+    cfg.width_mult = 0.125;
+    cfg.num_classes = 8;
+    return std::make_unique<models::ResNet18Cifar>(cfg, rng);
+  };
 }
 
 }  // namespace
@@ -34,12 +35,11 @@ int main() {
   dc.test_size = 64;
   data::SyntheticImages dataset(dc);
 
-  const int nodes = 16;  // p3.2xlarge-style cluster, 10 Gbps links
-
-  dist::DistTrainConfig cfg;
-  cfg.epochs = 2;
-  cfg.global_batch = 64;
-  cfg.lr = 0.05f;
+  runtime::ShmClusterConfig cfg;
+  cfg.workers = 16;  // p3.2xlarge-style cluster, 10 Gbps links
+  cfg.train.epochs = 2;
+  cfg.train.global_batch = 64;
+  cfg.train.lr = 0.05f;
 
   struct Arm {
     const char* name;
@@ -58,14 +58,15 @@ int main() {
 
   metrics::Table table({"method", "comp (s)", "encode (s)", "comm (s)",
                         "decode (s)", "epoch total (s)", "payload/worker"});
-  std::printf("== simulated 16-node cluster, per-epoch breakdown ==\n");
-  std::printf("(compute/encode/decode: measured CPU; comm: alpha-beta ring"
-              " model @10 Gbps)\n\n");
+  std::printf("== 16 workers priced on a 16-node cluster, per-epoch "
+              "breakdown ==\n");
+  std::printf("(compute: per-worker thread CPU; encode/decode: measured; "
+              "comm: alpha-beta ring model @10 Gbps)\n\n");
   for (Arm& arm : arms) {
-    dist::DataParallelTrainer trainer(make_model(arm.pufferfish),
-                                      std::move(arm.reducer), nodes, cfg);
+    runtime::ShmDataParallelTrainer trainer(make_model(arm.pufferfish),
+                                            std::move(arm.reducer), cfg);
     dist::DistEpochRecord rec = trainer.train_epoch(dataset, 0);
-    const dist::EpochBreakdown& b = rec.breakdown;
+    const dist::EpochBreakdown& b = rec.priced;
     table.add_row({arm.name, metrics::fmt(b.compute_s, 3),
                    metrics::fmt(b.encode_s, 3), metrics::fmt(b.comm_s, 3),
                    metrics::fmt(b.decode_s, 3), metrics::fmt(b.total(), 3),

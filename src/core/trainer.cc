@@ -352,6 +352,7 @@ struct MtTask {
 EvalResult evaluate_vision(nn::UnaryModule& model,
                            const data::SyntheticImages& ds, int64_t batch,
                            float label_smoothing) {
+  if (batch < 1) throw std::invalid_argument("evaluate_vision: batch < 1");
   PF_TRACE_SCOPE("train.eval");
   EvalModeGuard eval_mode(model);
   ag::NoGradGuard ng;

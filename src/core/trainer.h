@@ -97,7 +97,8 @@ VisionResult train_vision(const VisionModelFactory& make_vanilla,
                           const data::SyntheticImages& ds,
                           const VisionTrainConfig& cfg);
 
-// Evaluate top-1/top-5 accuracy and mean loss over the test set.
+// Evaluate top-1/top-5 accuracy and mean loss over the test set. Throws
+// std::invalid_argument for batch < 1.
 struct EvalResult {
   double acc = 0, top5 = 0, loss = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace pf::data {
 
@@ -98,6 +99,8 @@ Tensor SyntheticImages::make_sample(int64_t cls, Rng& rng,
 
 std::vector<ImageBatch> SyntheticImages::train_batches(int64_t batch,
                                                        int epoch) const {
+  if (batch < 1)
+    throw std::invalid_argument("SyntheticImages::train_batches: batch < 1");
   Rng rng(cfg_.seed ^ (0x5bd1e995ull * static_cast<uint64_t>(epoch + 1)));
   const auto perm = rng.permutation(cfg_.train_size);
   const int64_t c = cfg_.channels, hw = cfg_.hw;

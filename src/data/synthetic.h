@@ -46,7 +46,8 @@ class SyntheticImages {
   const Config& config() const { return cfg_; }
 
   // Shuffled mini-batches over the training set; `epoch` seeds the shuffle
-  // and augmentation so runs are reproducible.
+  // and augmentation so runs are reproducible. Throws
+  // std::invalid_argument for batch < 1.
   std::vector<ImageBatch> train_batches(int64_t batch, int epoch) const;
   ImageBatch test_batch(int64_t start, int64_t count) const;
 

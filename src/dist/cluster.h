@@ -1,35 +1,24 @@
-// Data-parallel cluster simulator: real gradient math over N logical
-// workers, modeled wall-clock.
-//
-// Each step the global batch is sharded across `nodes` workers; every worker
-// computes a real gradient on its shard (executed sequentially here, timed,
-// then divided by `nodes` since real workers run in parallel); the chosen
-// Reducer produces real encoded payloads whose byte counts are priced by
-// dist::collective_seconds (cost_model.h) on HardwareProfile::cloud_10g(),
-// the paper's 10 Gbps cluster. The result is the per-epoch compute / encode /
-// communicate / decode breakdown of the paper's Figure 4, plus a faithful
-// training trajectory (the aggregated gradient actually updates the model).
+// Data-parallel training vocabulary shared by the one executor
+// (runtime::ShmDataParallelTrainer) and its callers: the per-epoch
+// compute / encode / communicate / decode breakdown of the paper's
+// Figure 4, the epoch record, the training config, the lr schedule and the
+// batch-shard partition.
 #pragma once
 
-#include <functional>
-#include <memory>
-
-#include "compress/compressor.h"
-#include "core/trainer.h"
-#include "dist/cost_model.h"
-#include "optim/optim.h"
+#include <cstdint>
+#include <vector>
 
 namespace pf::dist {
 
 struct EpochBreakdown {
-  double compute_s = 0;   // fwd+bwd per node (modeled parallel)
-  double encode_s = 0;    // compression per node
-  double comm_s = 0;      // modeled collective time
-  double decode_s = 0;    // per-node decode / aggregation post-processing
+  double compute_s = 0;   // fwd+bwd per worker
+  double encode_s = 0;    // compression per worker
+  double comm_s = 0;      // collective time
+  double decode_s = 0;    // per-worker decode / aggregation post-processing
   double other_s = 0;     // optimizer step, data, bookkeeping
-  // Independently measured epoch wall time, when the executor has one
-  // (runtime::ShmDataParallelTrainer). 0 for purely modeled breakdowns.
-  // When set, the components are disjoint per-worker averages, so
+  // Independently measured epoch wall time, when the breakdown is
+  // measured. 0 for priced breakdowns (DistEpochRecord::priced). When set,
+  // the components are disjoint per-worker averages, so
   // total() == wall_s up to the other_s >= 0 clamp (asserted in
   // trainer_test.cc).
   double wall_s = 0;
@@ -43,13 +32,28 @@ struct DistEpochRecord {
   int epoch = 0;
   double train_loss = 0;
   double test_acc = 0;
+  // Measured on this host: every field is wall-clock of the threads that
+  // ran the epoch (compute = per-worker fwd+bwd average, comm = time in
+  // rendezvous + reduction).
   EpochBreakdown breakdown;
-  double cumulative_sim_seconds = 0;  // simulated wall-clock since start
+  // The same epoch priced on the paper's 10 Gbps cluster
+  // (HardwareProfile::cloud_10g()), the numbers Figs. 4/6/7 print:
+  //   comm_s    = sum over steps of dist::collective_seconds(collective,
+  //               payload bytes, workers, cloud_10g, messages); the ring
+  //               path prices as one flat-buffer allreduce of every param;
+  //   encode_s  = sum of the reducer's encode seconds / workers;
+  //   decode_s  = sum of the reducer's per-worker decode seconds (the
+  //               compress::Reducer contract, not divided by workers);
+  //   compute_s = mean per-worker fwd+bwd on the worker thread's CPU
+  //               clock, so it does not inflate when workers share cores;
+  //   other_s   = the measured other_s.
+  // wall_s is 0: a priced breakdown is a model, not a measurement.
+  EpochBreakdown priced;
 };
 
 struct DistTrainConfig {
   int epochs = 8;
-  int64_t global_batch = 64;  // sharded evenly over the nodes
+  int64_t global_batch = 64;  // sharded evenly over the workers
   float lr = 0.05f;
   float momentum = 0.9f;
   float weight_decay = 1e-4f;
@@ -66,7 +70,6 @@ struct DistTrainConfig {
 };
 
 // Learning rate at `epoch` under cfg's linear warm-up + step-decay schedule.
-// Shared by the modeled cluster and the shm executor (runtime/shm_cluster).
 float lr_at_epoch(const DistTrainConfig& cfg, int epoch);
 
 // Balanced contiguous partition of [0, batch) over `lanes` workers: lane i
@@ -82,46 +85,5 @@ struct ShardRange {
   int64_t count = 0;
 };
 ShardRange shard_range(int64_t batch, int lanes, int lane);
-
-class DataParallelTrainer {
- public:
-  DataParallelTrainer(std::unique_ptr<nn::UnaryModule> model,
-                      std::unique_ptr<compress::Reducer> reducer,
-                      int nodes, const DistTrainConfig& cfg);
-
-  // Runs one epoch over the dataset; returns loss/accuracy/breakdown.
-  DistEpochRecord train_epoch(const data::SyntheticImages& ds, int epoch);
-
-  // Full run.
-  std::vector<DistEpochRecord> train(const data::SyntheticImages& ds);
-
-  nn::UnaryModule& model() { return *model_; }
-  // Swap in a new model mid-run (Pufferfish's vanilla -> hybrid switch);
-  // optimizer state is rebuilt, reducer state reset.
-  void replace_model(std::unique_ptr<nn::UnaryModule> model,
-                     std::unique_ptr<compress::Reducer> reducer);
-
-  // The active reducer (null = none was given). Lets harnesses poke
-  // reducer-specific counters (e.g. VarianceGateReducer's gate decisions).
-  compress::Reducer* reducer() { return reducer_.get(); }
-
-  double cumulative_sim_seconds() const { return sim_seconds_; }
-  // Total payload bytes one worker transmitted since construction, summed
-  // over every step (breakdown.bytes_per_worker only records the LAST
-  // step's payload, which misses step-to-step variation -- exactly what a
-  // gating reducer produces). Survives replace_model.
-  int64_t cumulative_bytes_per_worker() const { return cumulative_bytes_; }
-
- private:
-  std::unique_ptr<nn::UnaryModule> model_;
-  std::unique_ptr<compress::Reducer> reducer_;
-  int nodes_;
-  HardwareProfile hw_ = HardwareProfile::cloud_10g();
-  DistTrainConfig cfg_;
-  std::unique_ptr<optim::SGD> opt_;
-  std::vector<Shape> param_shapes_;
-  double sim_seconds_ = 0;
-  int64_t cumulative_bytes_ = 0;
-};
 
 }  // namespace pf::dist

@@ -61,8 +61,8 @@ double collective_seconds_flat(Coll c, int64_t bytes, int p, double alpha_s,
       break;
   }
   // Keep this shape: release builds (-march=native) contract it into
-  // fma(messages, latency, bandwidth), and DataParallelTrainer's recorded
-  // comm_s depends on exactly that rounding.
+  // fma(messages, latency, bandwidth), and the recorded Fig. 4/6 priced
+  // comm_s digits depend on exactly that rounding.
   return messages * latency + bandwidth;
 }
 

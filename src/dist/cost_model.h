@@ -1,7 +1,7 @@
 // The one alpha-beta communication model (Thakur, Rabenseifner & Gropp
 // 2005 -- the model the paper's Section 4.1 latency argument is built on).
-// Every collective in the repo is priced here: DataParallelTrainer's
-// modeled comm column, the Figure 4/6/7 benches and the planner
+// Every collective in the repo is priced here: the data-parallel
+// executor's priced comm column, the Figure 4/6/7 benches and the planner
 // (src/plan/planner.h) all call collective_seconds over a HardwareProfile.
 //
 // Flat (single-level) closed forms, p ranks on one link (alpha per message,

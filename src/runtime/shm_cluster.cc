@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <ctime>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -11,13 +12,29 @@
 #include <thread>
 #include <utility>
 
+#include "core/factorize.h"
 #include "metrics/metrics.h"
+#include "nn/serialize.h"
 #include "runtime/thread_pool.h"
 #include "trace/trace.h"
 
 namespace pf::runtime {
 
 namespace {
+
+// The paper's cluster (16x p3.2xlarge, 10 Gbps): what the priced breakdown
+// of every epoch record is priced on.
+const dist::HardwareProfile kPaperCluster = dist::HardwareProfile::cloud_10g();
+
+// CPU seconds consumed by the calling thread. Unlike wall-clock it does not
+// grow while the thread waits for a core, so per-worker compute stays
+// honest when more workers than cores share the host.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 // Reusable rendezvous point for the cluster's worker threads.
 class Barrier {
@@ -159,20 +176,50 @@ ShmDataParallelTrainer::ShmDataParallelTrainer(
     : cfg_(cfg), reducer_(std::move(reducer)) {
   if (cfg_.workers < 1) cfg_.workers = 1;
   if (cfg_.train.threads > 0) set_threads(cfg_.train.threads);
+  for (int w = 0; w < cfg_.workers; ++w)
+    worker_rngs_.push_back(
+        Rng::stream(cfg_.train.seed, static_cast<uint64_t>(w)));
+  replace_model(make_model, nullptr);
+}
+
+void ShmDataParallelTrainer::replace_model(
+    const core::VisionModelFactory& make, const ModelTransfer& transfer,
+    std::unique_ptr<compress::Reducer> reducer) {
+  if (reducer) reducer_ = std::move(reducer);
   // A missing or plain-allreduce reducer means the payload sums, so the
   // worker threads can execute the bucketed reduction themselves.
   ring_path_ = !reducer_ || reducer_->name() == "allreduce";
   const dist::DistTrainConfig& tc = cfg_.train;
+  // Every replica is built from an identically seeded Rng: replicas start
+  // bitwise equal, and stay equal because each step applies the same
+  // aggregated gradient.
+  std::vector<std::unique_ptr<nn::UnaryModule>> next;
   for (int w = 0; w < cfg_.workers; ++w) {
-    // Every replica is built from an identically seeded Rng: replicas start
-    // bitwise equal, and stay equal because each step applies the same
-    // aggregated gradient.
     Rng rng(tc.seed * 0x9E3779B9u + 101);
-    replicas_.push_back(make_model(rng));
-    opts_.push_back(std::make_unique<optim::SGD>(
-        replicas_.back()->parameters(), tc.lr, tc.momentum, tc.weight_decay));
-    worker_rngs_.push_back(Rng::stream(tc.seed, static_cast<uint64_t>(w)));
+    next.push_back(make(rng));
   }
+  if (transfer) {
+    // One transfer into the canonical replica, then a broadcast of its
+    // full checkpoint state (params and BN buffers) to the others. A
+    // transfer may re-rank low-rank layers (core::reproject), so the other
+    // replicas first take the canonical's ranks.
+    transfer(*replicas_[0], *next[0]);
+    const std::vector<int64_t> ranks = core::collect_ranks(*next[0]);
+    const std::vector<Tensor*> src = nn::checkpoint_tensors(*next[0]);
+    for (size_t w = 1; w < next.size(); ++w) {
+      core::apply_ranks(*next[w], ranks);
+      const std::vector<Tensor*> dst = nn::checkpoint_tensors(*next[w]);
+      for (size_t i = 0; i < dst.size(); ++i)
+        std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(),
+                    static_cast<size_t>(dst[i]->numel()) * sizeof(float));
+    }
+  }
+  replicas_ = std::move(next);
+  opts_.clear();
+  for (auto& r : replicas_)
+    opts_.push_back(std::make_unique<optim::SGD>(
+        r->parameters(), tc.lr, tc.momentum, tc.weight_decay));
+  param_shapes_.clear();
   for (nn::Param* p : replicas_[0]->parameters())
     param_shapes_.push_back(p->var->value.shape());
 }
@@ -239,6 +286,7 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
   float* const agg_ring = ring_path_ ? agg.data() : nullptr;
   std::vector<double> losses(static_cast<size_t>(lanes), 0.0);
   std::vector<double> compute_acc(static_cast<size_t>(lanes), 0.0);
+  std::vector<double> compute_cpu_acc(static_cast<size_t>(lanes), 0.0);
   std::vector<double> comm_acc(static_cast<size_t>(lanes), 0.0);
   std::vector<double> fault_acc(static_cast<size_t>(lanes), 0.0);
   // Worker 0's time spent inside reducer_->reduce (reducer path only). It is
@@ -249,6 +297,8 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
   double encode_s = 0, decode_s = 0, loss_sum = 0;
   int64_t bytes_per_worker =
       ring_path_ ? total_params * static_cast<int64_t>(sizeof(float)) : 0;
+  // Lane 0 prices every step on the paper cluster (DistEpochRecord::priced).
+  dist::EpochBreakdown priced;
   int64_t steps = 0;
   Barrier barrier(lanes);
 
@@ -343,6 +393,7 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
       const int n_active = static_cast<int>(std::min<int64_t>(lanes, bsz));
 
       metrics::Timer t_compute;
+      const double cpu_compute0 = thread_cpu_seconds();
       const dist::ShardRange sr = dist::shard_range(bsz, lanes, lane);
       if (sr.count > 0) {
         PF_TRACE_SCOPE_C("shm.compute", step);
@@ -359,6 +410,8 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
         losses[static_cast<size_t>(lane)] = lv[0];
       }
       compute_acc[static_cast<size_t>(lane)] += t_compute.seconds();
+      compute_cpu_acc[static_cast<size_t>(lane)] +=
+          thread_cpu_seconds() - cpu_compute0;
 
       metrics::Timer t_comm;
       {
@@ -370,8 +423,8 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
         ring_reduce_pass(lane, n_active, total_params, bucket_elems,
                          n_buckets, arena, grad_p, agg_ring, barrier);
       } else {
-        // Non-summing payloads go through the Reducer exactly as the
-        // modeled cluster runs it, centralized on lane 0. Lane 0 times
+        // Non-summing payloads go through the Reducer, centralized on
+        // lane 0, which sees every lane's gradient. Lane 0 times
         // the reduce separately: that interval is excluded from its comm
         // window (see reduce_excl_s) and surfaces as encode_s/decode_s
         // instead, keeping the breakdown components disjoint. The other
@@ -387,6 +440,10 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
           encode_s += stats.encode_seconds / lanes;
           decode_s += stats.decode_seconds / lanes;
           bytes_per_worker = stats.payload_bytes_per_worker;
+          priced.decode_s += stats.decode_seconds;
+          priced.comm_s += dist::collective_seconds(
+              stats.collective, stats.payload_bytes_per_worker, lanes,
+              kPaperCluster, stats.n_messages);
         }
         barrier.wait();
       }
@@ -400,6 +457,12 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
           loss_sum += losses[static_cast<size_t>(j)];
           ++steps;
         }
+        // The ring path is one flat-buffer allreduce of every param,
+        // exactly what compress::AllreduceReducer reports.
+        if (ring_path_)
+          priced.comm_s += dist::collective_seconds(
+              dist::Coll::kAllreduce, bytes_per_worker, lanes, kPaperCluster);
+        cumulative_bytes_ += bytes_per_worker;
       }
       // Keeps arena and agg stable until every worker has stepped.
       barrier.wait();
@@ -437,12 +500,18 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
   rec.breakdown.other_s = std::max(
       0.0, wall_s - rec.breakdown.compute_s - rec.breakdown.comm_s -
                rec.breakdown.encode_s - rec.breakdown.decode_s);
+  priced.compute_s =
+      std::accumulate(compute_cpu_acc.begin(), compute_cpu_acc.end(), 0.0) /
+      lanes;
+  priced.encode_s = encode_s;  // already the per-worker share
+  priced.other_s = rec.breakdown.other_s;
+  priced.bytes_per_worker = bytes_per_worker;
+  rec.priced = priced;
   rec.train_loss = loss_sum / std::max<int64_t>(1, steps);
   const core::EvalResult ev = core::evaluate_vision(
       *replicas_[static_cast<size_t>(canonical)], ds, tc.global_batch);
   rec.test_acc = ev.acc;
   wall_seconds_ += rec.breakdown.total();
-  rec.cumulative_sim_seconds = wall_seconds_;
   global_step_ = step_base + static_cast<int64_t>(batches.size());
   fault_seconds_ +=
       std::accumulate(fault_acc.begin(), fault_acc.end(), 0.0);

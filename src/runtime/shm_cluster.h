@@ -1,12 +1,11 @@
-// Real shared-memory data-parallel executor: the measured counterpart to
-// the modeled `dist::DataParallelTrainer`.
+// The data-parallel executor: real shared-memory data-parallel training.
 //
 // N worker threads each own a full model replica built from identically
 // seeded factories (replicas start bitwise equal and stay equal, because
 // every worker applies the same aggregated gradient with its own optimizer).
-// Each step the global batch is sharded exactly like dist/cluster.cc;
-// workers compute real gradients on their shard concurrently and aggregate
-// through one of two paths:
+// Each step the global batch is sharded by dist::shard_range; workers
+// compute real gradients on their shard concurrently and aggregate through
+// one of two paths:
 //
 //  * ring path (allreduce-compatible payloads, i.e. the paper's vanilla /
 //    Pufferfish flat buffers): a bucketed all-reduce executed by the worker
@@ -19,13 +18,15 @@
 //    collapsing to shared-memory reads of the aggregated buffer.
 //  * reducer path (PowerSGD / SIGNUM / top-k / ATOMO payloads whose
 //    encodings do not sum): workers rendezvous, then worker 0 runs the
-//    `compress::Reducer` over all shards -- the identical code path the
-//    modeled cluster uses, so stateful reducers behave the same.
+//    `compress::Reducer` over all shards, so stateful reducers see every
+//    worker's gradient in one place.
 //
-// The epoch report reuses `dist::EpochBreakdown`, but every field is
-// MEASURED wall-clock (compute = per-worker fwd+bwd average, comm = time in
-// rendezvous + reduction), so bench_fig4_distributed can print modeled and
-// measured columns side by side.
+// Every epoch record carries two views of the same epoch (dist/cluster.h):
+// `breakdown` is MEASURED wall-clock on this host, and `priced` is the
+// paper-cluster view -- each step's real payload bytes priced through
+// dist::collective_seconds on HardwareProfile::cloud_10g(), next to the
+// per-worker compute on the worker thread's CPU clock -- which is what
+// bench_fig4_distributed, Fig. 6 and Fig. 7 print.
 // Fault tolerance (src/fault): a seeded fault::Plan can kill or delay a
 // worker at the top of a scheduled global step. Because replicas are
 // bitwise-identical at step boundaries, a killed worker is *reincarnated*
@@ -39,6 +40,7 @@
 // optimizers, and per-worker Rng streams from it.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,6 +140,34 @@ class ShmDataParallelTrainer {
   // is rejected loudly (tests/elastic_test.cc asserts both directions).
   int resume();
 
+  // Swaps the model mid-run (Pufferfish's vanilla -> hybrid switch, and the
+  // dense <-> low-rank moves of refresh rounds). Builds the new canonical
+  // replica from `make`, runs `transfer(old_canonical, new_canonical)` once
+  // (core::warm_start / defactorize / reproject: one SVD, not one per
+  // worker), then gives the other replicas the canonical's low-rank ranks
+  // and copies every nn::checkpoint_tensors entry (params and BN buffers)
+  // into them, so all replicas start the next step bitwise equal. A null
+  // `transfer` keeps the fresh, identically seeded replicas. The old
+  // canonical is slot 0. Optimizers are rebuilt (velocity starts at zero). A
+  // non-null `reducer` replaces the current one and re-selects the ring or
+  // reducer path; null keeps the current reducer and its state.
+  using ModelTransfer =
+      std::function<void(nn::UnaryModule& from, nn::UnaryModule& to)>;
+  void replace_model(const core::VisionModelFactory& make,
+                     const ModelTransfer& transfer,
+                     std::unique_ptr<compress::Reducer> reducer = nullptr);
+
+  // The active reducer (null = plain ring path with none given). Lets
+  // harnesses poke reducer-specific counters (e.g. VarianceGateReducer's
+  // gate decisions).
+  compress::Reducer* reducer() { return reducer_.get(); }
+  // Total payload bytes one worker transmitted since construction, summed
+  // over every step (breakdown.bytes_per_worker records only the LAST
+  // step's payload, which misses step-to-step variation -- exactly what a
+  // gating reducer produces). Survives replace_model; not part of a
+  // snapshot, so a resumed run counts from its resume point.
+  int64_t cumulative_bytes_per_worker() const { return cumulative_bytes_; }
+
   // Canonical replica (worker 0); evaluation runs against it.
   nn::UnaryModule& model() { return *replicas_[0]; }
   // Per-slot replica / optimizer access for the elastic membership layer
@@ -174,6 +204,7 @@ class ShmDataParallelTrainer {
   std::vector<Rng> worker_rngs_;
   std::vector<Shape> param_shapes_;
   double wall_seconds_ = 0;
+  int64_t cumulative_bytes_ = 0;
   int64_t global_step_ = 0;
   double fault_seconds_ = 0;
   std::vector<double> last_compute_s_;

@@ -306,8 +306,7 @@ data::SyntheticImages tiny_images() {
 
 // BN-free MLP (dist_test.cc idiom): data-parallel equivalence and clean
 // convergence comparisons need no per-replica batch statistics.
-std::unique_ptr<nn::UnaryModule> mlp_model(uint64_t seed) {
-  Rng rng(seed);
+std::unique_ptr<nn::UnaryModule> mlp_model(Rng& rng) {
   auto s = std::make_unique<nn::Sequential>();
   s->emplace<nn::Flatten>();
   s->emplace<nn::Linear>(3 * 8 * 8, 16, rng);
@@ -325,8 +324,10 @@ double final_loss_with(std::unique_ptr<compress::Reducer> reducer, float lr,
   cfg.lr = lr;
   cfg.momentum = momentum;
   cfg.weight_decay = 0;
-  dist::DataParallelTrainer t(mlp_model(3), std::move(reducer), /*nodes=*/4,
-                              cfg);
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = 4;
+  scfg.train = cfg;
+  runtime::ShmDataParallelTrainer t(mlp_model, std::move(reducer), scfg);
   return t.train(ds).back().train_loss;
 }
 

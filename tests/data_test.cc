@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 namespace pf::data {
 namespace {
@@ -87,6 +88,13 @@ TEST(SyntheticImages, BatchCountMatches) {
   SyntheticImages ds(img_cfg());
   EXPECT_EQ(ds.train_batches(16, 0).size(), 4u);
   EXPECT_EQ(ds.train_batches(64, 0).size(), 1u);
+}
+
+TEST(SyntheticImages, TrainBatchesRejectsNonPositiveBatch) {
+  // A zero batch used to loop forever pushing empty batches.
+  SyntheticImages ds(img_cfg());
+  EXPECT_THROW(ds.train_batches(0, 0), std::invalid_argument);
+  EXPECT_THROW(ds.train_batches(-4, 0), std::invalid_argument);
 }
 
 TEST(SyntheticCorpus, StreamsHaveRequestedLengthAndRange) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "models/resnet.h"
+#include "runtime/shm_cluster.h"
 
 namespace pf::dist {
 namespace {
@@ -80,7 +81,7 @@ TEST_P(NodesP, AllreduceTimeIncreasesWithNodes) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NodesP, ::testing::Values(2, 4, 8));
 
-// ---- Cluster training semantics. ----
+// ---- Data-parallel training semantics (runtime::ShmDataParallelTrainer). ----
 
 data::SyntheticImages tiny_data() {
   data::SyntheticImages::Config dc;
@@ -92,18 +93,20 @@ data::SyntheticImages tiny_data() {
   return data::SyntheticImages(dc);
 }
 
-std::unique_ptr<nn::UnaryModule> tiny_model(uint64_t seed) {
-  Rng rng(seed);
-  models::ResNetCifarConfig cfg;
-  cfg.width_mult = 0.0625;  // 4-16-... channels
-  cfg.num_classes = 4;
-  return std::make_unique<models::ResNet18Cifar>(cfg, rng);
+core::VisionModelFactory tiny_resnet(bool pufferfish) {
+  return [pufferfish](Rng& rng) -> std::unique_ptr<nn::UnaryModule> {
+    models::ResNetCifarConfig cfg =
+        pufferfish ? models::ResNetCifarConfig::pufferfish()
+                   : models::ResNetCifarConfig::vanilla();
+    cfg.width_mult = 0.0625;  // 4-16-... channels
+    cfg.num_classes = 4;
+    return std::make_unique<models::ResNet18Cifar>(cfg, rng);
+  };
 }
 
 // BN-free MLP: data-parallel equivalence holds exactly only without
 // per-replica batch statistics (true of real DDP as well).
-std::unique_ptr<nn::UnaryModule> mlp_model(uint64_t seed) {
-  Rng rng(seed);
+std::unique_ptr<nn::UnaryModule> mlp(Rng& rng) {
   auto s = std::make_unique<nn::Sequential>();
   s->emplace<nn::Flatten>();
   s->emplace<nn::Linear>(3 * 8 * 8, 16, rng);
@@ -112,25 +115,32 @@ std::unique_ptr<nn::UnaryModule> mlp_model(uint64_t seed) {
   return s;
 }
 
-TEST(DataParallelTrainer, AllreduceMatchesSingleNodeLargeBatch) {
+runtime::ShmDataParallelTrainer cluster(
+    const core::VisionModelFactory& make,
+    std::unique_ptr<compress::Reducer> reducer, int workers,
+    const DistTrainConfig& cfg) {
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = workers;
+  scfg.train = cfg;
+  return runtime::ShmDataParallelTrainer(make, std::move(reducer), scfg);
+}
+
+TEST(DataParallel, AllreduceMatchesSingleNodeLargeBatch) {
   // Data-parallel SGD with exact-mean allreduce over k workers is
   // mathematically identical to single-process training with the global
   // batch (for models without per-replica batch statistics). This is the
-  // core correctness property of the simulator.
+  // core correctness property of the executor.
   auto ds = tiny_data();
   DistTrainConfig cfg;
   cfg.epochs = 2;
   cfg.global_batch = 16;
   cfg.lr = 0.05f;
 
-  DataParallelTrainer single(mlp_model(3),
-                             std::make_unique<compress::AllreduceReducer>(),
-                             /*nodes=*/1, cfg);
+  auto single = cluster(mlp, std::make_unique<compress::AllreduceReducer>(),
+                        /*workers=*/1, cfg);
   auto rec1 = single.train(ds);
-
-  DataParallelTrainer multi(mlp_model(3),
-                            std::make_unique<compress::AllreduceReducer>(),
-                            /*nodes=*/4, cfg);
+  auto multi = cluster(mlp, std::make_unique<compress::AllreduceReducer>(),
+                       /*workers=*/4, cfg);
   auto rec4 = multi.train(ds);
 
   EXPECT_TRUE(allclose(single.model().flat_params(),
@@ -138,82 +148,67 @@ TEST(DataParallelTrainer, AllreduceMatchesSingleNodeLargeBatch) {
   EXPECT_NEAR(rec1.back().train_loss, rec4.back().train_loss, 1e-3);
 }
 
-TEST(DataParallelTrainer, TrainsToAboveChance) {
+TEST(DataParallel, TrainsToAboveChance) {
   auto ds = tiny_data();
   DistTrainConfig cfg;
   cfg.epochs = 6;
   cfg.global_batch = 16;
   cfg.lr = 0.05f;
-  DataParallelTrainer t(tiny_model(5),
-                        std::make_unique<compress::AllreduceReducer>(),
-                        /*nodes=*/4, cfg);
+  auto t = cluster(tiny_resnet(false),
+                   std::make_unique<compress::AllreduceReducer>(),
+                   /*workers=*/4, cfg);
   auto recs = t.train(ds);
   EXPECT_GT(recs.back().test_acc, 0.3);  // chance = 0.25
   EXPECT_LT(recs.back().train_loss, recs.front().train_loss);
 }
 
-TEST(DataParallelTrainer, BreakdownIsPopulated) {
+TEST(DataParallel, BreakdownIsPopulated) {
   auto ds = tiny_data();
   DistTrainConfig cfg;
   cfg.epochs = 1;
   cfg.global_batch = 16;
-  DataParallelTrainer t(tiny_model(7),
-                        std::make_unique<compress::SignumReducer>(),
-                        /*nodes=*/4, cfg);
+  auto t = cluster(tiny_resnet(false),
+                   std::make_unique<compress::SignumReducer>(),
+                   /*workers=*/4, cfg);
   auto rec = t.train_epoch(ds, 0);
-  EXPECT_GT(rec.breakdown.compute_s, 0.0);
-  EXPECT_GT(rec.breakdown.comm_s, 0.0);
-  EXPECT_GT(rec.breakdown.encode_s, 0.0);
-  EXPECT_GT(rec.breakdown.decode_s, 0.0);
-  EXPECT_GT(rec.breakdown.bytes_per_worker, 0);
-  EXPECT_NEAR(rec.breakdown.total(),
-              rec.breakdown.compute_s + rec.breakdown.encode_s +
-                  rec.breakdown.comm_s + rec.breakdown.decode_s +
-                  rec.breakdown.other_s,
+  const EpochBreakdown& p = rec.priced;
+  EXPECT_GT(p.compute_s, 0.0);
+  EXPECT_GT(p.comm_s, 0.0);
+  EXPECT_GT(p.encode_s, 0.0);
+  EXPECT_GT(p.decode_s, 0.0);
+  EXPECT_GT(p.bytes_per_worker, 0);
+  EXPECT_EQ(p.bytes_per_worker, rec.breakdown.bytes_per_worker);
+  EXPECT_EQ(p.other_s, rec.breakdown.other_s);
+  EXPECT_EQ(p.wall_s, 0.0);  // priced, not measured
+  EXPECT_NEAR(p.total(),
+              p.compute_s + p.encode_s + p.comm_s + p.decode_s + p.other_s,
               1e-9);
-  EXPECT_GT(t.cumulative_sim_seconds(), 0.0);
+  EXPECT_GT(rec.breakdown.wall_s, 0.0);
+  EXPECT_GT(t.cumulative_seconds(), 0.0);
+  EXPECT_EQ(t.cumulative_bytes_per_worker(), 2 * p.bytes_per_worker);
 }
 
-TEST(DataParallelTrainer, SmallerModelCommunicatesLess) {
+TEST(DataParallel, SmallerModelCommunicatesLess) {
   auto ds = tiny_data();
   DistTrainConfig cfg;
   cfg.epochs = 1;
   cfg.global_batch = 16;
-  DataParallelTrainer vanilla(tiny_model(9),
-                              std::make_unique<compress::AllreduceReducer>(),
-                              /*nodes=*/4, cfg);
-  auto rv = vanilla.train_epoch(ds, 0);
-
-  Rng rng(9);
-  models::ResNetCifarConfig pcfg = models::ResNetCifarConfig::pufferfish();
-  pcfg.width_mult = 0.0625;
-  pcfg.num_classes = 4;
-  DataParallelTrainer pf(std::make_unique<models::ResNet18Cifar>(pcfg, rng),
+  auto vanilla = cluster(tiny_resnet(false),
                          std::make_unique<compress::AllreduceReducer>(),
-                         /*nodes=*/4, cfg);
+                         /*workers=*/4, cfg);
+  auto rv = vanilla.train_epoch(ds, 0);
+  auto pf = cluster(tiny_resnet(true),
+                    std::make_unique<compress::AllreduceReducer>(),
+                    /*workers=*/4, cfg);
   auto rp = pf.train_epoch(ds, 0);
 
-  EXPECT_LT(rp.breakdown.bytes_per_worker, rv.breakdown.bytes_per_worker);
-  EXPECT_LT(rp.breakdown.comm_s, rv.breakdown.comm_s);
-}
-
-TEST(DataParallelTrainer, ReplaceModelMidRun) {
-  auto ds = tiny_data();
-  DistTrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.global_batch = 16;
-  DataParallelTrainer t(tiny_model(11),
-                        std::make_unique<compress::AllreduceReducer>(),
-                        /*nodes=*/2, cfg);
-  t.train_epoch(ds, 0);
-  const double before = t.cumulative_sim_seconds();
-  t.replace_model(tiny_model(12), nullptr);
-  auto rec = t.train_epoch(ds, 1);
-  EXPECT_GT(rec.cumulative_sim_seconds, before);
+  EXPECT_LT(rp.priced.bytes_per_worker, rv.priced.bytes_per_worker);
+  // Priced, not measured: in-memory aggregation time is scheduling noise.
+  EXPECT_LT(rp.priced.comm_s, rv.priced.comm_s);
 }
 
 // Delegates to a real reducer and records the stats of every step, so a
-// test can re-price the exact payloads the trainer saw.
+// test can re-price the exact payloads the executor saw.
 class RecordingReducer : public compress::Reducer {
  public:
   RecordingReducer(std::unique_ptr<compress::Reducer> inner,
@@ -233,9 +228,10 @@ class RecordingReducer : public compress::Reducer {
   std::vector<compress::ReduceStats>* log_;
 };
 
-TEST(DataParallelTrainer, CommIsPricedFromPayloadBytes) {
-  // comm_s is exactly the per-step sum of the one cost model over each
-  // step's real payload, collective and message count, at cloud_10g.
+TEST(DataParallel, CommIsPricedFromPayloadBytes) {
+  // priced.comm_s is exactly the per-step sum of the one cost model over
+  // each step's real payload, collective and message count, at cloud_10g;
+  // priced encode/decode follow the compress::Reducer time contract.
   auto ds = tiny_data();
   DistTrainConfig cfg;
   cfg.epochs = 1;
@@ -253,22 +249,49 @@ TEST(DataParallelTrainer, CommIsPricedFromPayloadBytes) {
       {std::make_unique<compress::SignumReducer>(), Coll::kAllgather, 1});
   for (Case& c : cases) {
     std::vector<compress::ReduceStats> log;
-    DataParallelTrainer t(
-        tiny_model(13),
+    auto t = cluster(
+        tiny_resnet(false),
         std::make_unique<RecordingReducer>(std::move(c.reducer), &log),
         nodes, cfg);
     const DistEpochRecord rec = t.train_epoch(ds, 0);
     ASSERT_EQ(log.size(), 2u);  // 32 samples / global batch 16
-    double expected = 0;
+    double comm = 0, encode = 0, decode = 0;
     for (const compress::ReduceStats& s : log) {
       EXPECT_EQ(s.collective, c.collective);
       EXPECT_EQ(s.n_messages, c.messages);
-      expected += collective_seconds(s.collective, s.payload_bytes_per_worker,
-                                     nodes, kCloud, s.n_messages);
+      comm += collective_seconds(s.collective, s.payload_bytes_per_worker,
+                                 nodes, kCloud, s.n_messages);
+      encode += s.encode_seconds / nodes;
+      decode += s.decode_seconds;
     }
-    EXPECT_GT(expected, 0.0);
-    EXPECT_EQ(rec.breakdown.comm_s, expected);
+    EXPECT_GT(comm, 0.0);
+    EXPECT_EQ(rec.priced.comm_s, comm);
+    EXPECT_EQ(rec.priced.encode_s, encode);
+    EXPECT_EQ(rec.priced.decode_s, decode);
   }
+
+  // Ring path: one flat-buffer allreduce of every param per step, with no
+  // encode or decode stage.
+  auto ring = cluster(tiny_resnet(false), nullptr, nodes, cfg);
+  const DistEpochRecord rec = ring.train_epoch(ds, 0);
+  const int64_t bytes = ring.model().num_params() * 4;
+  double comm = 0;
+  for (int step = 0; step < 2; ++step)
+    comm += collective_seconds(Coll::kAllreduce, bytes, nodes, kCloud, 1);
+  EXPECT_EQ(rec.priced.bytes_per_worker, bytes);
+  EXPECT_EQ(rec.priced.comm_s, comm);
+  EXPECT_EQ(rec.priced.encode_s, 0.0);
+  EXPECT_EQ(rec.priced.decode_s, 0.0);
+  EXPECT_EQ(ring.cumulative_bytes_per_worker(), 2 * bytes);
+}
+
+TEST(DataParallel, RejectsNonPositiveGlobalBatch) {
+  // A zero batch used to loop forever pushing empty batches.
+  auto ds = tiny_data();
+  DistTrainConfig cfg;
+  cfg.global_batch = 0;
+  auto t = cluster(mlp, nullptr, /*workers=*/2, cfg);
+  EXPECT_THROW(t.train_epoch(ds, 0), std::invalid_argument);
 }
 
 }  // namespace

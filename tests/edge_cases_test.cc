@@ -3,9 +3,12 @@
 // that must throw rather than corrupt state.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "compress/compressor.h"
 #include "core/factorize.h"
 #include "dist/cluster.h"
+#include "runtime/shm_cluster.h"
 #include "models/lstm_lm.h"
 #include "models/resnet.h"
 #include "models/transformer_mt.h"
@@ -83,19 +86,23 @@ TEST(EdgeDist, MoreNodesThanSamplesStillRuns) {
   dc.train_size = 8;
   dc.test_size = 8;
   data::SyntheticImages ds(dc);
-  Rng rng(7);
-  models::ResNetCifarConfig cfg;
-  cfg.width_mult = 0.0625;
-  cfg.num_classes = 2;
-  dist::DistTrainConfig tcfg;
-  tcfg.epochs = 1;
-  tcfg.global_batch = 8;
-  dist::DataParallelTrainer t(
-      std::make_unique<models::ResNet18Cifar>(cfg, rng),
-      std::make_unique<compress::AllreduceReducer>(),
-      /*nodes=*/16, tcfg);  // more nodes than samples per batch
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = 16;  // more workers than samples per batch
+  scfg.train.epochs = 1;
+  scfg.train.global_batch = 8;
+  scfg.train.seed = 7;
+  runtime::ShmDataParallelTrainer t(
+      [](Rng& rng) -> std::unique_ptr<nn::UnaryModule> {
+        models::ResNetCifarConfig cfg;
+        cfg.width_mult = 0.0625;
+        cfg.num_classes = 2;
+        return std::make_unique<models::ResNet18Cifar>(cfg, rng);
+      },
+      std::make_unique<compress::AllreduceReducer>(), scfg);
   dist::DistEpochRecord rec = t.train_epoch(ds, 0);
   EXPECT_GT(rec.breakdown.compute_s, 0.0);
+  EXPECT_GT(rec.priced.compute_s, 0.0);
+  EXPECT_TRUE(std::isfinite(rec.train_loss));
 }
 
 TEST(EdgeFactorize, RankOneMatrixFactorization) {

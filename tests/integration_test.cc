@@ -12,6 +12,7 @@
 #include "dist/cluster.h"
 #include "models/resnet.h"
 #include "nn/serialize.h"
+#include "runtime/shm_cluster.h"
 
 namespace pf {
 namespace {
@@ -75,8 +76,7 @@ data::SyntheticImages easy_data() {
   return data::SyntheticImages(dc);
 }
 
-std::unique_ptr<nn::UnaryModule> small_resnet(uint64_t seed) {
-  Rng rng(seed);
+std::unique_ptr<nn::UnaryModule> small_resnet(Rng& rng) {
   models::ResNetCifarConfig cfg;
   cfg.width_mult = 0.0625;
   cfg.num_classes = 4;
@@ -117,8 +117,11 @@ TEST_P(ReducerConvergenceP, TrainsAboveChance) {
   cfg.lr = lr;
   cfg.momentum = momentum;
   cfg.lr_milestones = {8};
-  dist::DataParallelTrainer trainer(small_resnet(5), std::move(reducer),
-                                    /*nodes=*/4, cfg);
+  runtime::ShmClusterConfig scfg;
+  scfg.workers = 4;
+  scfg.train = cfg;
+  runtime::ShmDataParallelTrainer trainer(small_resnet, std::move(reducer),
+                                          scfg);
   auto recs = trainer.train(ds);
   EXPECT_GT(recs.back().test_acc, 0.4) << which;  // chance = 0.25
 }

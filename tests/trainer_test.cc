@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <stdexcept>
 
 #include "compress/compressor.h"
 #include "models/resnet.h"
@@ -70,6 +71,15 @@ TEST(TrainVision, Algorithm1SwitchesAtWarmup) {
   pcfg.num_classes = 4;
   models::ResNet18Cifar hybrid(pcfg, rng);
   EXPECT_EQ(r.params, hybrid.num_params());
+}
+
+TEST(TrainVision, EvaluateRejectsNonPositiveBatch) {
+  // A zero batch used to loop forever without advancing through the set.
+  auto ds = tiny_images();
+  Rng rng(2);
+  auto model = resnet_factory(false)(rng);
+  EXPECT_THROW(evaluate_vision(*model, ds, 0), std::invalid_argument);
+  EXPECT_THROW(evaluate_vision(*model, ds, -1), std::invalid_argument);
 }
 
 TEST(TrainVision, LowRankFromScratchWhenWarmupZero) {
