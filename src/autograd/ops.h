@@ -2,10 +2,12 @@
 //
 // Every op builds a tape node whose backward closure implements the exact
 // adjoint; all of them are covered by finite-difference gradient checks in
-// tests/autograd_test.cc. Broadcasting ops reduce gradients back to the
-// operand shape with `reduce_to_shape` (the adjoint of broadcasting).
+// tests/autograd_test.cc (lstm_recurrence through the shipped LSTM layers,
+// in tests/fuzz_gradcheck_test.cc). Broadcasting ops reduce gradients back
+// to the operand shape with `reduce_to_shape` (the adjoint of broadcasting).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +48,22 @@ Var lowrank_linear(const Var& x, const Var& v, const Var& u);
 // composition (see nn::LowRankConv2d).
 Var lowrank_conv2d(const Var& x, const Var& u, const Var& v, int64_t stride,
                    int64_t pad);
+
+// ---- Recurrence (LSTM, paper Section 2.3). ----
+// One LSTM layer's whole time loop as a single tape node. `xproj` (T, B, 4h)
+// is the input projection x W_ih^T + bias of every timestep, gate order
+// i, f, g, o; h0 and c0 are (B, h). The recurrent weight is the dense
+// w_hh (4h, h), or the four per-gate low-rank pairs v_hh[g] (h, r),
+// u_hh[g] (h, r) with gate g's block of W_hh = u_hh[g] v_hh[g]^T (never
+// densified: each step runs one (B, h) x (h, 4r) GEMM and four rank-width
+// U products). Returns (T + 1, B, h): rows 0..T-1 are h_1..h_T and row T is
+// c_T. The backward is a hand-written BPTT; the weight gradients are one
+// GEMM per weight over all T*B rows after the loop.
+Var lstm_recurrence(const Var& xproj, const Var& h0, const Var& c0,
+                    const Var& w_hh);
+Var lstm_recurrence(const Var& xproj, const Var& h0, const Var& c0,
+                    const std::array<Var, 4>& v_hh,
+                    const std::array<Var, 4>& u_hh);
 
 // ---- Activations / elementwise. ----
 Var relu(const Var& a);

@@ -386,11 +386,19 @@ class Avx2Backend final : public Backend {
 
   void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t k,
                int64_t n) const override {
-    // Accumulates into the caller-zeroed c (the scalar panel overwrites
-    // instead; both observe the documented "c starts zeroed" contract).
+    // Accumulates into the caller-zeroed c on both paths (the scalar panel
+    // overwrites instead; both observe the "c starts zeroed" contract).
+    // Below the cutoff b is transposed into pooled scratch and the NN panel
+    // runs, so every element chains ascending k through c exactly as the
+    // packed path does: a row's bits do not depend on how many rows the
+    // GEMM has, on either side of the cutoff.
     if (m * k * n < kPackedCutoff) {
+      Scratch bt(k * n);
+      for (int64_t j = 0; j < n; ++j)
+        for (int64_t kk = 0; kk < k; ++kk) bt.p[kk * n + j] = b[j * k + kk];
+      const float* btp = bt.p;
       runtime::parallel_for(0, m, row_grain(k, n), [=](int64_t r0, int64_t r1) {
-        gemm_panel<Trans::N, Trans::T>(a + r0 * k, k, b, k, c + r0 * n, n,
+        gemm_panel<Trans::N, Trans::N>(a + r0 * k, k, btp, n, c + r0 * n, n,
                                        r1 - r0, k, n);
       });
       return;

@@ -59,7 +59,8 @@ class Backend {
                        int64_t k, int64_t n) const = 0;
   // c[m,n] <- a[m,k] @ b[n,k]^T over a zero-filled c. The scalar backend
   // overwrites c (seed semantics, preserving +0/-0 bits); the avx2 backend
-  // accumulates. Callers must pass a zeroed c.
+  // accumulates, in the same per-element order at every m. Callers must
+  // pass a zeroed c.
   virtual void gemm_nt(const float* a, const float* b, float* c, int64_t m,
                        int64_t k, int64_t n) const = 0;
 

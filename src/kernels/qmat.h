@@ -8,16 +8,17 @@
 // the per-row scale factors out of every dot product. Two ways serve the
 // whole engine zoo:
 //
-//  * gemm_nt_q (Backend): c[m,n] (+)= a[m,k] @ qb[n,k]^T -- every
-//    matmul_nt-shaped layer GEMM (Linear W, low-rank U, and V stored
-//    transposed as (r, in)). The default dequantizes into pooled scratch
+//  * gemm_nt_q (Backend): c[m,n] (+)= a[m,k] @ qb[n,k]^T -- the
+//    Linear / LowRankLinear GEMMs (W, U, and V stored transposed as
+//    (r, in)). The default dequantizes into pooled scratch
 //    and calls the backend's own float GEMM; the AVX2 backend overrides it
 //    with a fused variant that dequantizes inside the operand packing
 //    (backend_avx2.cc), bitwise identical to its own default.
-//  * dequantize-then-conv: a quantized conv (dense W as (c_out, patch),
-//    low-rank U (r, patch) and V (c_out, r)) dequantizes its weight once
-//    per forward and runs the fp32 conv (nn/layers.cc), so it is the fp32
-//    conv on the dequantized weight, bit for bit.
+//  * dequantize-then-run: a quantized conv (dense W as (c_out, patch),
+//    low-rank U (r, patch) and V (c_out, r)) or LSTM layer dequantizes its
+//    weights once per forward and runs the fp32 layer (nn/layers.cc,
+//    nn/lstm.cc), so it is the fp32 layer on the dequantized weights, bit
+//    for bit.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.h"
 
@@ -16,21 +17,30 @@ void check_lstm_quantized_eval_only(const char* layer) {
                              "forwards); dequantize before training");
 }
 
-// Shared cell update: takes pre-activation gates (B, 4h) and previous cell
-// state, returns (h_t, c_t).
-std::pair<ag::Var, ag::Var> lstm_cell(const ag::Var& gates, const ag::Var& c,
-                                      int64_t h) {
-  ag::Var gi = ag::sigmoid(ag::slice(gates, 1, 0 * h, h));
-  ag::Var gf = ag::sigmoid(ag::slice(gates, 1, 1 * h, h));
-  ag::Var gg = ag::tanh(ag::slice(gates, 1, 2 * h, h));
-  ag::Var go = ag::sigmoid(ag::slice(gates, 1, 3 * h, h));
-  ag::Var ct = ag::add(ag::mul(gf, c), ag::mul(gi, gg));
-  ag::Var ht = ag::mul(go, ag::tanh(ct));
-  return {ht, ct};
+// A quantized weight's fp32 value as a constant leaf; `transpose` turns a
+// V^T slot (r, in) back into the (in, r) factor layout.
+ag::Var dequantized(const QWeight& q, bool transpose = false) {
+  Tensor w = kernels::dequantize(*q);
+  return ag::leaf(transpose ? w.t() : std::move(w));
 }
 
-ag::Var zeros_state(int64_t b, int64_t h) {
-  return ag::leaf(Tensor::zeros(Shape{b, h}));
+std::pair<ag::Var, ag::Var> initial_state(const LstmState* state, int64_t b,
+                                          int64_t h) {
+  auto zeros = [&] { return ag::leaf(Tensor::zeros(Shape{b, h})); };
+  return {(state && state->h) ? state->h : zeros(),
+          (state && state->c) ? state->c : zeros()};
+}
+
+// Splits lstm_recurrence's (T + 1, B, h) value into the (T, B, h) output and
+// the final state.
+ag::Var split_output(const ag::Var& hc, LstmState* state) {
+  const int64_t t_len = hc->value.size(0) - 1;
+  const Shape bh{hc->value.size(1), hc->value.size(2)};
+  if (state) {
+    state->h = ag::reshape(ag::slice(hc, 0, t_len - 1, 1), bh);
+    state->c = ag::reshape(ag::slice(hc, 0, t_len, 1), bh);
+  }
+  return ag::slice(hc, 0, 0, t_len);
 }
 
 }  // namespace
@@ -47,32 +57,19 @@ LSTMLayer::LSTMLayer(int64_t input_dim, int64_t hidden, Rng& rng)
 
 ag::Var LSTMLayer::forward(const ag::Var& x, LstmState* state) {
   const int64_t t_len = x->value.size(0), b = x->value.size(1);
-  ag::Var h = (state && state->h) ? state->h : zeros_state(b, h_);
-  ag::Var c = (state && state->c) ? state->c : zeros_state(b, h_);
-  std::vector<ag::Var> outputs;
-  outputs.reserve(static_cast<size_t>(t_len));
-  if (q_wih) check_lstm_quantized_eval_only("LSTMLayer");
-  for (int64_t t = 0; t < t_len; ++t) {
-    ag::Var xt = ag::reshape(ag::slice(x, 0, t, 1), Shape{b, d_});
-    ag::Var gates;
-    if (q_wih) {
-      Tensor g = kernels::qmatmul_nt(xt->value, *q_wih);
-      g.add_(kernels::qmatmul_nt(h->value, *q_whh));
-      gates = ag::add(ag::leaf(std::move(g)), bias);
-    } else {
-      gates = ag::add(
-          ag::add(ag::matmul_nt(xt, w_ih), ag::matmul_nt(h, w_hh)), bias);
-    }
-    auto [ht, ct] = lstm_cell(gates, c, h_);
-    h = ht;
-    c = ct;
-    outputs.push_back(ag::reshape(ht, Shape{1, b, h_}));
+  auto [h0, c0] = initial_state(state, b, h_);
+  ag::Var wi = w_ih, wh = w_hh;
+  if (q_wih) {
+    check_lstm_quantized_eval_only("LSTMLayer");
+    wi = dequantized(q_wih);
+    wh = dequantized(q_whh);
   }
-  if (state) {
-    state->h = h;
-    state->c = c;
-  }
-  return ag::concat(outputs, 0);
+  ag::Var xproj = ag::add(
+      ag::matmul_nt(ag::reshape(x, Shape{t_len * b, d_}), wi), bias);
+  return split_output(
+      ag::lstm_recurrence(ag::reshape(xproj, Shape{t_len, b, 4 * h_}), h0, c0,
+                          wh),
+      state);
 }
 
 LowRankLSTMLayer::LowRankLSTMLayer(int64_t input_dim, int64_t hidden,
@@ -100,39 +97,27 @@ LowRankLSTMLayer::LowRankLSTMLayer(int64_t input_dim, int64_t hidden,
 
 ag::Var LowRankLSTMLayer::forward(const ag::Var& x, LstmState* state) {
   const int64_t t_len = x->value.size(0), b = x->value.size(1);
-  ag::Var h = (state && state->h) ? state->h : zeros_state(b, h_);
-  ag::Var c = (state && state->c) ? state->c : zeros_state(b, h_);
-  std::vector<ag::Var> outputs;
-  outputs.reserve(static_cast<size_t>(t_len));
-  if (q_u_ih[0]) check_lstm_quantized_eval_only("LowRankLSTMLayer");
-  for (int64_t t = 0; t < t_len; ++t) {
-    ag::Var xt = ag::reshape(ag::slice(x, 0, t, 1), Shape{b, d_});
-    std::vector<ag::Var> gate_parts;
-    gate_parts.reserve(4);
-    for (size_t gate = 0; gate < 4; ++gate) {
-      if (q_u_ih[0]) {
-        Tensor z = kernels::qlowrank_matmul(xt->value, *q_vt_ih[gate],
-                                            *q_u_ih[gate]);
-        z.add_(kernels::qlowrank_matmul(h->value, *q_vt_hh[gate],
-                                        *q_u_hh[gate]));
-        gate_parts.push_back(ag::leaf(std::move(z)));
-        continue;
-      }
-      ag::Var zi = ag::lowrank_linear(xt, v_ih[gate], u_ih[gate]);
-      ag::Var zh = ag::lowrank_linear(h, v_hh[gate], u_hh[gate]);
-      gate_parts.push_back(ag::add(zi, zh));
+  auto [h0, c0] = initial_state(state, b, h_);
+  std::array<ag::Var, 4> ui = u_ih, vi = v_ih, uh = u_hh, vh = v_hh;
+  if (q_u_ih[0]) {
+    check_lstm_quantized_eval_only("LowRankLSTMLayer");
+    for (size_t g = 0; g < 4; ++g) {
+      ui[g] = dequantized(q_u_ih[g]);
+      vi[g] = dequantized(q_vt_ih[g], /*transpose=*/true);
+      uh[g] = dequantized(q_u_hh[g]);
+      vh[g] = dequantized(q_vt_hh[g], /*transpose=*/true);
     }
-    ag::Var gates = ag::add(ag::concat(gate_parts, 1), bias);
-    auto [ht, ct] = lstm_cell(gates, c, h_);
-    h = ht;
-    c = ct;
-    outputs.push_back(ag::reshape(ht, Shape{1, b, h_}));
   }
-  if (state) {
-    state->h = h;
-    state->c = c;
-  }
-  return ag::concat(outputs, 0);
+  const ag::Var x2 = ag::reshape(x, Shape{t_len * b, d_});
+  std::vector<ag::Var> gates;
+  gates.reserve(4);
+  for (size_t g = 0; g < 4; ++g)
+    gates.push_back(ag::lowrank_linear(x2, vi[g], ui[g]));
+  ag::Var xproj = ag::add(ag::concat(gates, 1), bias);
+  return split_output(
+      ag::lstm_recurrence(ag::reshape(xproj, Shape{t_len, b, 4 * h_}), h0, c0,
+                          vh, uh),
+      state);
 }
 
 }  // namespace pf::nn

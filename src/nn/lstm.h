@@ -2,10 +2,17 @@
 // appendix Table 12). Gate order follows PyTorch: input, forget, cell, output.
 //
 // The vanilla layer keeps the four gates fused in one (4h, d) / (4h, h)
-// matrix pair (one GEMM per timestep per matrix); the factorized layer
-// stores per-gate (U, V) pairs exactly as the paper's Table 12 lists them
-// (lstm.weight.i{i,f,g,o}_u/v, lstm.weight.h{i,f,g,o}_u/v). A single
-// combined bias of size 4h per layer matches the paper's parameter count.
+// matrix pair; the factorized layer stores per-gate (U, V) pairs exactly as
+// the paper's Table 12 lists them (lstm.weight.i{i,f,g,o}_u/v,
+// lstm.weight.h{i,f,g,o}_u/v). A single combined bias of size 4h per layer
+// matches the paper's parameter count.
+//
+// A forward call projects the whole input sequence at once (one GEMM over
+// all T*B rows for W_ih, one lowrank_linear per gate for the factorized
+// layer, bias folded in) and then runs the time loop as one tape node,
+// ag::lstm_recurrence, whose backward is a hand-written BPTT. Quantized
+// layers (eval only) dequantize their weights once per call and run the same
+// forward, so they equal the fp32 layer on the dequantized weights bitwise.
 #pragma once
 
 #include <array>

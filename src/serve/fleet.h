@@ -39,7 +39,8 @@
 //    inside worker loops (and any parallel_for from client threads) take
 //    the deterministic inline-serial path: parallelism comes from
 //    *requests*, not from splitting one request's kernels. Per-request
-//    outputs are batch-composition-invariant (row-partitioned GEMMs), so
+//    outputs are batch-composition-invariant (row-partitioned GEMMs whose
+//    per-element summation order does not depend on the row count), so
 //    serve outputs are bitwise identical across PF_THREADS within a backend;
 //  * runtime::set_threads() must not be called while a fleet is running
 //    (it blocks on the dispatch slot until stop()).

@@ -351,7 +351,23 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F f) {
     for (int64_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
     return out;
   }
-  const Shape os = broadcast_shape(a.shape(), b.shape());
+  const Shape& as = a.shape();
+  const Shape& bs = b.shape();
+  if (bs.size() <= as.size() &&
+      std::equal(bs.begin(), bs.end(), as.end() - std::ssize(bs))) {
+    // b repeats along a's leading dims (a bias row over a batch): the same
+    // f per element as the strided walk below, without its per-element
+    // index arithmetic.
+    Tensor out = Tensor::uninit(as);
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    const int64_t n = b.numel(), rows = n > 0 ? a.numel() / n : 0;
+    for (int64_t r = 0; r < rows; ++r)
+      for (int64_t j = 0; j < n; ++j) po[r * n + j] = f(pa[r * n + j], pb[j]);
+    return out;
+  }
+  const Shape os = broadcast_shape(as, bs);
   Tensor out = Tensor::uninit(os);
   const size_t nd = os.size();
   // Pad shapes on the left with 1s, compute broadcast strides (0 on size-1).

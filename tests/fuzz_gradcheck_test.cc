@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "gradcheck.h"
+#include "nn/lstm.h"
 #include "tensor/rng.h"
 
 namespace pf::ag {
@@ -145,50 +146,47 @@ TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
        rng.randn(Shape{r, c1, 3, 3}), rng.randn(Shape{c2, r, 1, 1})});
 }
 
-// Low-rank LSTM gates: mirrors LowRankLSTMLayer's per-gate factorized
-// pre-activations (x V_ih U_ih^T + h V_hh U_hh^T), the four-way concat, the
-// shared bias, and the cell update, unrolled for two timesteps so gradients
-// flow through the recurrent h/c path. Checks every factor matrix, the
-// bias, and the initial state.
-TEST_P(FuzzP, LowRankLstmGates) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 92821 + 41);
-  const int64_t b = 2, d = 2, h = 2, r = 1;
-  // Leaves: x (2,b,d), h0, c0, then u_ih/v_ih/u_hh/v_hh for each of the
-  // four gates, then the fused bias (4h).
-  std::vector<Tensor> inputs = {rng.randn(Shape{2, b, d}),
-                                rng.randn(Shape{b, h}),
-                                rng.randn(Shape{b, h})};
-  for (int gate = 0; gate < 4; ++gate) {
-    inputs.push_back(rng.randn(Shape{h, r}));  // u_ih
-    inputs.push_back(rng.randn(Shape{d, r}));  // v_ih
-    inputs.push_back(rng.randn(Shape{h, r}));  // u_hh
-    inputs.push_back(rng.randn(Shape{h, r}));  // v_hh
-  }
-  inputs.push_back(rng.randn(Shape{4 * h}));
+// The shipped LSTM layers (nn::LSTMLayer / nn::LowRankLSTMLayer, whose time
+// loop is the hand-written BPTT of ag::lstm_recurrence) over T = 3 steps from
+// a non-zero initial state. The loss reads the output and the final h and c,
+// so every gradient path is checked: x, h0, c0, and every parameter. The
+// leaves after x, h0, c0 are swapped into the layer's parameter members
+// `slots`, which must cover all of its parameters.
+void gradcheck_lstm_layer(nn::LstmBase& layer, const std::vector<Var*>& slots,
+                          Rng& rng) {
+  ASSERT_EQ(slots.size(), layer.parameters().size());
+  const int64_t t_len = 3, b = 2, h = layer.hidden();
+  std::vector<Tensor> inputs = {rng.randn(Shape{t_len, b, layer.input_dim()}),
+                                rng.randn(Shape{b, h}), rng.randn(Shape{b, h})};
+  for (Var* s : slots) inputs.push_back(rng.randn((*s)->shape()));
+  const Tensor wy = rng.randn(Shape{t_len, b, h});
   gradcheck(
-      [b, d, h](const std::vector<Var>& v) {
-        Var hs = v[1];
-        Var cs = v[2];
-        for (int64_t t = 0; t < 2; ++t) {
-          Var xt = reshape(slice(v[0], 0, t, 1), Shape{b, d});
-          std::vector<Var> parts;
-          for (size_t gate = 0; gate < 4; ++gate) {
-            const size_t k = 3 + gate * 4;
-            Var zi = matmul_nt(matmul(xt, v[k + 1]), v[k]);
-            Var zh = matmul_nt(matmul(hs, v[k + 3]), v[k + 2]);
-            parts.push_back(add(zi, zh));
-          }
-          Var gates = add(concat(parts, 1), v[19]);
-          Var gi = sigmoid(slice(gates, 1, 0 * h, h));
-          Var gf = sigmoid(slice(gates, 1, 1 * h, h));
-          Var gg = tanh(slice(gates, 1, 2 * h, h));
-          Var go = sigmoid(slice(gates, 1, 3 * h, h));
-          cs = add(mul(gf, cs), mul(gi, gg));
-          hs = mul(go, tanh(cs));
-        }
-        return mean_all(mul(hs, hs));
+      [&](const std::vector<Var>& v) {
+        for (size_t i = 0; i < slots.size(); ++i) *slots[i] = v[3 + i];
+        nn::LstmState st{v[1], v[2]};
+        Var y = layer.forward(v[0], &st);
+        return add(add(mean_all(mul(y, leaf(wy))), mean_all(mul(st.h, st.c))),
+                   mean_all(st.c));
       },
       inputs);
+}
+
+TEST_P(FuzzP, LowRankLstmGates) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 92821 + 41);
+  const int64_t d = 2 + rng.uniform_int(2), h = 2 + rng.uniform_int(2);
+  nn::LowRankLSTMLayer l(d, h, /*rank=*/1 + rng.uniform_int(2), rng);
+  std::vector<Var*> slots;
+  for (size_t g = 0; g < 4; ++g)
+    for (Var* s : {&l.u_ih[g], &l.v_ih[g], &l.u_hh[g], &l.v_hh[g]})
+      slots.push_back(s);
+  slots.push_back(&l.bias);
+  gradcheck_lstm_layer(l, slots, rng);
+}
+
+TEST_P(FuzzP, LstmLayerGates) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7127 + 5);
+  nn::LSTMLayer l(2 + rng.uniform_int(2), 2 + rng.uniform_int(2), rng);
+  gradcheck_lstm_layer(l, {&l.w_ih, &l.w_hh, &l.bias}, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzP, ::testing::Range(0, 12));

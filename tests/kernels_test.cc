@@ -471,6 +471,36 @@ TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
   }
 }
 
+// The rows of matmul_nt do not depend on how many rows the GEMM has: the
+// first m rows computed at m = 1..256 equal, bitwise, those rows of the
+// m = 256 product, per backend and at 1 and 4 threads. On avx2 the m*k*n
+// products of these shapes cross the packed-path cutoff (32,768) as m
+// grows; (128, 10) is the width-0.25 ResNet-18 classifier, whose served
+// rows must not change with the batch they arrive in (serve/fleet.h).
+TEST(KernelsEdgeTiles, NtRowsIndependentOfRowCount) {
+  BackendGuard guard;
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {128, 10}, {12, 48}, {48, 12}, {48, 192}};  // (k, n)
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    for (const auto& [k, n] : shapes) {
+      Rng rng(static_cast<uint64_t>(k * 1000 + n));
+      const Tensor a = rng.randn(Shape{256, k});
+      const Tensor b = rng.randn(Shape{n, k});
+      runtime::set_threads(1);
+      const Tensor full = matmul_nt(a, b);
+      for (int threads : {1, 4}) {
+        runtime::set_threads(threads);
+        for (int64_t m = 1; m <= 256; ++m)
+          EXPECT_TRUE(bitwise_equal(matmul_nt(slice(a, 0, 0, m), b),
+                                    block(full, 0, m, 0, n)))
+              << backend << " threads " << threads << " (k, n) = (" << k
+              << ", " << n << ") m " << m;
+      }
+    }
+  }
+}
+
 // Conv shapes for the chunked-lowering tests. The first two leave a
 // remainder chunk (n is not a multiple of conv_chunk); outputs are 16x16
 // (256 columns per sample) and 2x2 (4 columns); patch 576 > KC = 384; and

@@ -9,11 +9,13 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "kernels/qmat.h"
 #include "models/resnet.h"
 #include "nn/layers.h"
+#include "nn/lstm.h"
 #include "nn/serialize.h"
 #include "quant/delta.h"
 #include "quant/qcheckpoint.h"
@@ -187,6 +190,86 @@ TEST(Quant, QuantizedConvForwardsEqualFp32ConvOnDequantizedWeights) {
           EXPECT_TRUE(bitwise_equal(lowrank.forward(ag::leaf(x))->value,
                                     lowrank_ref))
               << "LowRankConv2d " << where;
+        }
+      }
+    }
+  };
+  check("scalar");
+  if (!kernels::avx2_supported()) {
+    kernels::set_backend(prev.c_str());
+    GTEST_SKIP() << "host CPU lacks AVX2/FMA; avx2 backend unavailable";
+  }
+  check("avx2");
+  kernels::set_backend(prev.c_str());
+}
+
+// A quantized LSTM layer dequantizes its weights once per forward call and
+// runs the fp32 layer, so its output and final state equal -- memcmp, both
+// sides run the same GEMM sequence -- the fp32 forward of the same layer
+// with every weight replaced by dequantize(slot) (V factors transposed back
+// from their V^T slots). Both layer kinds, int8 and bf16, per backend and at
+// 1 and 4 threads, from a non-zero initial state.
+TEST(Quant, QuantizedLstmForwardsEqualFp32OnDequantizedWeights) {
+  const std::string prev = kernels::backend_name();
+  ThreadGuard tg;
+  ag::NoGradGuard ng;
+  Rng rng(9);
+  const int64_t t_len = 5, b = 3, d = 12, h = 16;
+  const Tensor x = rng.randn(Shape{t_len, b, d});
+  const Tensor h0 = rng.randn(Shape{b, h});
+  const Tensor c0 = rng.randn(Shape{b, h});
+  auto run = [&](nn::LstmBase& layer) {
+    nn::LstmState st{ag::leaf(h0), ag::leaf(c0)};
+    const Tensor y = layer.forward(ag::leaf(x), &st)->value;
+    return std::vector<Tensor>{y, st.h->value, st.c->value};
+  };
+  auto check = [&](const char* backend) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    for (int threads : {1, 4}) {
+      runtime::set_threads(threads);
+      for (kernels::QMode mode :
+           {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
+        const std::string where =
+            std::string(backend) + " threads " + std::to_string(threads) +
+            " mode " + std::to_string(static_cast<int>(mode));
+        // Quantizes w (as its transpose for a V^T slot) and makes w the
+        // fp32 reference: the dequantized values in w's own layout.
+        auto slot = [&](const ag::Var& w, bool transpose) {
+          auto q = std::make_shared<kernels::QuantizedMat>(
+              kernels::quantize_tensor(transpose ? w->value.t() : w->value,
+                                       mode));
+          const Tensor dq = kernels::dequantize(*q);
+          w->value = transpose ? dq.t() : dq;
+          return nn::QWeight(q);
+        };
+        Rng lr(10);
+        nn::LSTMLayer vanilla(d, h, lr);
+        const nn::QWeight q_wih = slot(vanilla.w_ih, false);
+        const nn::QWeight q_whh = slot(vanilla.w_hh, false);
+        const std::vector<Tensor> vanilla_ref = run(vanilla);
+        vanilla.q_wih = q_wih;
+        vanilla.q_whh = q_whh;
+        const std::vector<Tensor> vanilla_q = run(vanilla);
+
+        nn::LowRankLSTMLayer lowrank(d, h, /*rank=*/4, lr);
+        std::array<nn::QWeight, 4> qu_ih, qvt_ih, qu_hh, qvt_hh;
+        for (size_t g = 0; g < 4; ++g) {
+          qu_ih[g] = slot(lowrank.u_ih[g], false);
+          qvt_ih[g] = slot(lowrank.v_ih[g], true);
+          qu_hh[g] = slot(lowrank.u_hh[g], false);
+          qvt_hh[g] = slot(lowrank.v_hh[g], true);
+        }
+        const std::vector<Tensor> lowrank_ref = run(lowrank);
+        lowrank.q_u_ih = qu_ih;
+        lowrank.q_vt_ih = qvt_ih;
+        lowrank.q_u_hh = qu_hh;
+        lowrank.q_vt_hh = qvt_hh;
+        const std::vector<Tensor> lowrank_q = run(lowrank);
+        for (size_t i = 0; i < 3; ++i) {
+          EXPECT_TRUE(bitwise_equal(vanilla_q[i], vanilla_ref[i]))
+              << "LSTMLayer " << where << " tensor " << i;
+          EXPECT_TRUE(bitwise_equal(lowrank_q[i], lowrank_ref[i]))
+              << "LowRankLSTMLayer " << where << " tensor " << i;
         }
       }
     }

@@ -322,6 +322,27 @@ TEST(Frozen, LstmBitwiseIdenticalToModuleEvalForward) {
   std::remove(path.c_str());
 }
 
+// A 32-sample forward equals the 32 single-sample forwards, bitwise, row
+// for row. The width-0.25 hybrid ResNet-18's classifier GEMM (128 -> 10)
+// crosses the avx2 packed-path cutoff at batch 26, so this pins that a
+// served row does not depend on the size of the batch it is served in.
+TEST(Frozen, BatchForwardEqualsSingleSampleForwardsBitwise) {
+  Rng rng(23);
+  models::ResNetCifarConfig cfg;
+  cfg.width_mult = 0.25;
+  cfg.first_lowrank_block = 2;
+  cfg.rank_ratio = 0.25;
+  FrozenModel frozen(std::make_unique<models::ResNet18Cifar>(cfg, rng),
+                     "batch-invariance-test");
+  const Tensor x = rng.randn(Shape{32, 3, 8, 8});
+  const Tensor all = frozen.forward(x);
+  ASSERT_EQ(all.shape(), (Shape{32, 10}));
+  for (int64_t i = 0; i < 32; ++i)
+    EXPECT_TRUE(bitwise_equal(frozen.forward(slice(x, 0, i, 1)),
+                              slice(all, 0, i, 1)))
+        << "sample " << i;
+}
+
 TEST(Frozen, PackedArenaBacksParameters) {
   FrozenModel frozen(tiny_resnet(4), "packed-test");
   // The packed artifact is one contiguous float block covering every param.
