@@ -297,7 +297,7 @@ int cmd_plan(const Args& a) {
   req.model = a.get("model", "resnet18");
   req.width = width(a, 1.0);
   req.classes = a.get_i("classes", 10, 1);
-  req.input_hw = a.get_i("input-hw", 32);
+  req.input_hw = a.get_i("input-hw", 32, 1);
   req.per_worker_batch = a.get_i("batch", 32, 1);
   req.epochs = a.get_i("epochs", 8, 1);
   req.images_per_epoch = a.get_d("images", 50000);
@@ -319,7 +319,7 @@ int cmd_plan(const Args& a) {
     req.hw = plan::calibrated_profile(cal_workers, 3);
     req.overlap = false;  // the shm executor reduces synchronously
     const int64_t step_hw = req.model == "vgg19" ? 32 : 16;
-    req.input_hw = a.get_i("input-hw", static_cast<int>(step_hw));
+    req.input_hw = a.get_i("input-hw", static_cast<int>(step_hw), 1);
     req.measured_step_seconds = plan::measure_step_seconds(
         plan::vision_factory(req.model, req.width, req.classes, 1.0, 0),
         req.per_worker_batch, req.input_hw, 3);

@@ -2,9 +2,9 @@
 //
 // Every op builds a tape node whose backward closure implements the exact
 // adjoint; all of them are covered by finite-difference gradient checks in
-// tests/autograd_test.cc (lstm_recurrence through the shipped LSTM layers,
-// in tests/fuzz_gradcheck_test.cc). Broadcasting ops reduce gradients back
-// to the operand shape with `reduce_to_shape` (the adjoint of broadcasting).
+// tests/autograd_test.cc (lstm_recurrence and lowrank_conv2d through the
+// shipped layers, in tests/fuzz_gradcheck_test.cc). Broadcasting ops sum
+// gradients to the operand shape: `reduce_to_shape`, broadcasting's adjoint.
 #pragma once
 
 #include <array>
@@ -40,12 +40,11 @@ Var bmm_nt(const Var& a, const Var& b);     // (b,m,k)x(b,n,k)^T
 // matmul(x, v) followed by matmul_nt(t, u).
 Var lowrank_linear(const Var& x, const Var& v, const Var& u);
 
-// Fused factorized convolution, tape-free forward only (throws if grad
-// taping is active and any input requires grad): x (N, C_in, H, W),
-// u (r, C_in, k, k), v (C_out, r, 1, 1). Computes conv(x, u) -> 1x1
-// conv(., v) per chunk of samples without materializing the full
-// (N, r, oh, ow) intermediate or re-running im2col on it. Training uses the two-conv
-// composition (see nn::LowRankConv2d).
+// Factorized convolution as one trainable node: x (N, C_in, H, W), u (r, C_in,
+// k, k), v (C_out, r, 1, 1); y = 1x1 conv(conv(x, u), v), with V applied per
+// chunk of samples to the chunk's rank-width GEMM output, never building the
+// (N, r, oh, ow) intermediate. y, dX and dU match that two-conv composition
+// bitwise per backend; dV sums per chunk of the k x k lowering.
 Var lowrank_conv2d(const Var& x, const Var& u, const Var& v, int64_t stride,
                    int64_t pad);
 

@@ -117,21 +117,14 @@ LowRankConv2d::LowRankConv2d(int64_t c_in, int64_t c_out, int64_t kernel,
 }
 
 ag::Var LowRankConv2d::forward(const ag::Var& x) {
-  if (qu) {
-    check_quantized_eval_only("LowRankConv2d");
-    const int64_t r = qu->rows;
-    return ag::lowrank_conv2d(
-        x, dequantized_conv_weight(*qu, Shape{r, c_in_, kernel_, kernel_}),
-        dequantized_conv_weight(*qv, Shape{c_out_, r, 1, 1}), stride_, pad_);
-  }
-  // Tape-free forwards (eval, frozen serve) fuse the two convolutions per
-  // chunk of samples, skipping the full (N, r, oh, ow) intermediate and the
-  // 1x1 im2col copy over it. Training keeps the two-node composition so the
-  // backward pass stays on the gradient-checked conv2d adjoints.
-  if (!ag::grad_enabled())
-    return ag::lowrank_conv2d(x, u, v, stride_, pad_);
-  ag::Var mid = ag::conv2d(x, u, stride_, pad_);
-  return ag::conv2d(mid, v, /*stride=*/1, /*pad=*/0);
+  // One node for training, eval, serving and quantized eval (a quantized
+  // slot runs it on its dequantized factors): see ag::lowrank_conv2d.
+  if (!qu) return ag::lowrank_conv2d(x, u, v, stride_, pad_);
+  check_quantized_eval_only("LowRankConv2d");
+  const int64_t r = qu->rows;
+  return ag::lowrank_conv2d(
+      x, dequantized_conv_weight(*qu, Shape{r, c_in_, kernel_, kernel_}),
+      dequantized_conv_weight(*qv, Shape{c_out_, r, 1, 1}), stride_, pad_);
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)

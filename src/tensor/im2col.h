@@ -47,9 +47,8 @@ void im2col(const float* img, const ConvGeom& g, float* col, int64_t nb = 1);
 // back into nb image gradients. `img` must be pre-zeroed by the caller.
 void col2im(const float* col, const ConvGeom& g, float* img, int64_t nb = 1);
 
-// The chunked lowering behind every conv path (ag::conv2d forward and
-// backward, ag::lowrank_conv2d; quantized convs run these on dequantized
-// weights).
+// The chunked lowering behind every conv (the one node behind ag::conv2d and
+// ag::lowrank_conv2d, forward and backward).
 // Splits the n images at `x` into chunks of conv_chunk(g, n) samples and
 // calls fn(i0, b, col) per chunk, where `col` is the (patch, b*spatial)
 // column matrix of images [i0, i0 + b). With lower == false `col` is left

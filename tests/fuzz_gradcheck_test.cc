@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "gradcheck.h"
+#include "nn/layers.h"
 #include "nn/lstm.h"
 #include "tensor/rng.h"
 
@@ -122,9 +123,11 @@ TEST_P(FuzzP, RandomShapeShuffleGraph) {
 }
 
 // Hybrid boundary layer: a dense conv feeding a factorized conv, the exact
-// composition at the K-1 boundary of a Pufferfish hybrid network. Checks
-// that gradients flow correctly through the dense -> low-rank seam for both
-// stride-1 and stride-2 factorized convs.
+// composition at the K-1 boundary of a Pufferfish hybrid network. The
+// factorized side is the shipped nn::LowRankConv2d (one ag::lowrank_conv2d
+// node) with its u and v swapped for the checked leaves, so gradients are
+// checked through the dense -> low-rank seam for stride-1 and stride-2
+// factorized convs.
 TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 48611 + 17);
   const int64_t c = 2;                           // input channels
@@ -133,17 +136,17 @@ TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
   const int64_t c2 = 2 + rng.uniform_int(2);     // factorized out channels
   const int64_t hw = 5 + rng.uniform_int(2);
   const int64_t stride = 1 + rng.uniform_int(2);
+  nn::LowRankConv2d lr(c1, c2, /*kernel=*/3, stride, /*pad=*/1, r, rng);
   gradcheck(
-      [stride](const std::vector<Var>& v) {
-        // Dense layer, then the LowRankConv2d forward: thin conv with u,
-        // 1x1 mixing conv with v (see nn/factorized_conv).
-        Var h = conv2d(v[0], v[1], 1, 1);
-        h = tanh(h);
-        h = conv2d(conv2d(h, v[2], stride, 1), v[3], 1, 0);
+      [&lr](const std::vector<Var>& v) {
+        lr.u = v[2];
+        lr.v = v[3];
+        Var h = tanh(conv2d(v[0], v[1], 1, 1));
+        h = lr.forward(h);
         return mean_all(mul(h, h));
       },
       {rng.randn(Shape{1, c, hw, hw}), rng.randn(Shape{c1, c, 3, 3}),
-       rng.randn(Shape{r, c1, 3, 3}), rng.randn(Shape{c2, r, 1, 1})});
+       rng.randn(lr.u->shape()), rng.randn(lr.v->shape())});
 }
 
 // The shipped LSTM layers (nn::LSTMLayer / nn::LowRankLSTMLayer, whose time

@@ -316,8 +316,47 @@ TEST(KernelsLowrank, LinearOpGradcheck) {
        rng.randn(Shape{3, 2})});
 }
 
+// The taped lowrank_conv2d node against conv2d(conv2d(x, u), v), on a
+// geometry whose two convs chunk differently: the k x k lowering runs in 3
+// chunks (3 + 3 + 1 samples), the 1x1 conv in 1. y, dX and dU keep every
+// per-element sum, so they match bitwise; dV is summed per k x k chunk
+// instead of in one 1x1 chunk, so it matches within 1e-5 of its max.
+void expect_taped_lowrank_conv_matches_two_conv() {
+  Rng rng(60);
+  const int64_t n = 7, c_in = 8, hw = 16, r = 2, c_out = 6, k = 3;
+  ASSERT_EQ(conv_chunk(ConvGeom{c_in, hw, hw, k, 1, 1}, n), 3);
+  ASSERT_EQ(conv_chunk(ConvGeom{r, hw, hw, 1, 1, 0}, n), n);
+  const Tensor x = rng.randn(Shape{n, c_in, hw, hw});
+  const Tensor u = rng.randn(Shape{r, c_in, k, k});
+  const Tensor v = rng.randn(Shape{c_out, r, 1, 1});
+  const Tensor dy = rng.randn(Shape{n, c_out, hw, hw});
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    auto run = [&](bool fused) {
+      ag::Var xl = ag::leaf(x, true);
+      ag::Var ul = ag::leaf(u, true);
+      ag::Var vl = ag::leaf(v, true);
+      ag::Var y = fused ? ag::lowrank_conv2d(xl, ul, vl, 1, 1)
+                        : ag::conv2d(ag::conv2d(xl, ul, 1, 1), vl, 1, 0);
+      ag::backward(y, dy);
+      return std::vector<Tensor>{y->value, xl->grad, ul->grad, vl->grad};
+    };
+    const std::vector<Tensor> node = run(true);
+    const std::vector<Tensor> two = run(false);
+    for (size_t i = 0; i < 3; ++i)
+      EXPECT_TRUE(bitwise_equal(node[i], two[i])) << backend << " tensor " << i;
+    float diff = 0, scale = 0;
+    for (int64_t j = 0; j < two[3].numel(); ++j) {
+      diff = std::max(diff, std::fabs(node[3][j] - two[3][j]));
+      scale = std::max(scale, std::fabs(two[3][j]));
+    }
+    EXPECT_LE(diff, 1e-5f * scale) << backend << " dV";
+  }
+}
+
 TEST(KernelsLowrank, Conv2dFusedMatchesTwoConvEval) {
   BackendGuard guard;
+  expect_taped_lowrank_conv_matches_two_conv();
   Rng rng(59);
   const int64_t n = 2, c_in = 5, h = 9, w = 9, r = 3, c_out = 8, k = 3;
   const Tensor x = rng.randn(Shape{n, c_in, h, w});
@@ -336,16 +375,6 @@ TEST(KernelsLowrank, Conv2dFusedMatchesTwoConvEval) {
     // structure, never per-element accumulation, so bits must match.
     EXPECT_TRUE(bitwise_equal(fused, two)) << backend;
   }
-}
-
-TEST(KernelsLowrank, Conv2dThrowsWhenTaped) {
-  BackendGuard guard;
-  ASSERT_TRUE(kernels::set_backend("scalar"));
-  Rng rng(60);
-  ag::Var x = ag::leaf(rng.randn(Shape{1, 2, 5, 5}), true);
-  ag::Var u = ag::leaf(rng.randn(Shape{2, 2, 3, 3}), true);
-  ag::Var v = ag::leaf(rng.randn(Shape{4, 2, 1, 1}), true);
-  EXPECT_THROW(ag::lowrank_conv2d(x, u, v, 1, 1), std::runtime_error);
 }
 
 TEST(KernelsTrace, GemmSpansReportAchievedGflops) {
@@ -588,9 +617,10 @@ TEST(KernelsConvChunk, BatchForwardEqualsPerSampleForwards) {
   }
 }
 
-// conv2d's chunked backward: dX and dW match finite differences on a shape
-// that lowers in two chunks (2 + 1 samples), and both are bitwise equal at
-// 1 and 4 threads on every chunked shape.
+// The conv node's chunked backward, dense (conv2d) and factorized
+// (lowrank_conv2d): every gradient matches finite differences on a shape
+// that lowers in two chunks (2 + 1 samples), and is bitwise equal at 1 and
+// 4 threads on every chunked shape.
 TEST(KernelsConvChunk, BackwardGradcheckAndThreadInvariance) {
   BackendGuard guard;
   ASSERT_TRUE(kernels::set_backend("scalar"));
@@ -605,25 +635,49 @@ TEST(KernelsConvChunk, BackwardGradcheckAndThreadInvariance) {
               ag::mul(ag::conv2d(in[0], in[1], 1, 1), ag::leaf(r)));
         },
         {rng.randn(Shape{3, 1, 32, 32}), rng.randn(Shape{2, 1, 5, 5})});
+    // The factorized output is larger (two random factors), so its loss is
+    // scaled down to keep the loss's float rounding, divided by 2 eps,
+    // inside the finite-difference tolerance.
+    const Tensor rv = rng.randn(Shape{3, 3, g.out_h(), g.out_w()}) * 0.0625f;
+    testing::gradcheck(
+        [&](const std::vector<ag::Var>& in) {
+          return ag::sum_all(ag::mul(
+              ag::lowrank_conv2d(in[0], in[1], in[2], 1, 1), ag::leaf(rv)));
+        },
+        {rng.randn(Shape{3, 1, 32, 32}), rng.randn(Shape{2, 1, 5, 5}),
+         rng.randn(Shape{3, 2, 1, 1})});
   }
   for (const char* backend : {"scalar", "avx2"}) {
     if (!kernels::set_backend(backend)) continue;  // avx2 host gate
     for (const ConvChunkCase& c : kConvChunkCases) {
       const Tensor x = rng.randn(Shape{c.n, c.c_in, c.hw, c.hw});
       const Tensor w = rng.randn(Shape{c.c_out, c.c_in, c.k, c.k});
+      const Tensor u = rng.randn(Shape{c.r, c.c_in, c.k, c.k});
+      const Tensor v = rng.randn(Shape{c.c_out, c.r, 1, 1});
       const ConvGeom g = geom(c);
       const Tensor dy = rng.randn(Shape{c.n, c.c_out, g.out_h(), g.out_w()});
-      auto grads = [&](int threads) {
+      // dX, dW (dense) or dX, dU, dV (factorized) at `threads`.
+      auto grads = [&](int threads, bool factorized) {
         runtime::set_threads(threads);
         ag::Var xl = ag::leaf(x, true);
-        ag::Var wl = ag::leaf(w, true);
-        ag::backward(ag::conv2d(xl, wl, c.stride, c.pad), dy);
-        return std::make_pair(xl->grad, wl->grad);
+        ag::Var wl = ag::leaf(factorized ? u : w, true);
+        ag::Var vl = ag::leaf(v, true);
+        ag::backward(factorized
+                         ? ag::lowrank_conv2d(xl, wl, vl, c.stride, c.pad)
+                         : ag::conv2d(xl, wl, c.stride, c.pad),
+                     dy);
+        std::vector<Tensor> out{xl->grad, wl->grad};
+        if (factorized) out.push_back(vl->grad);
+        return out;
       };
-      const auto [dx1, dw1] = grads(1);
-      const auto [dx4, dw4] = grads(4);
-      EXPECT_TRUE(bitwise_equal(dx1, dx4)) << backend << " dX n" << c.n;
-      EXPECT_TRUE(bitwise_equal(dw1, dw4)) << backend << " dW n" << c.n;
+      for (bool factorized : {false, true}) {
+        const std::vector<Tensor> g1 = grads(1, factorized);
+        const std::vector<Tensor> g4 = grads(4, factorized);
+        for (size_t i = 0; i < g1.size(); ++i)
+          EXPECT_TRUE(bitwise_equal(g1[i], g4[i]))
+              << backend << (factorized ? " lowrank" : " dense") << " grad "
+              << i << " n" << c.n;
+      }
     }
   }
 }

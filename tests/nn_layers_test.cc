@@ -257,6 +257,28 @@ TEST(MaxPool2dModule, Forward) {
   EXPECT_FLOAT_EQ(y->value[3], 15.0f);
 }
 
+// A pool or conv window must fit the (padded) input plane: a 2x2 window on
+// a 1x1 plane used to truncate to one output that read the next channel's
+// values and past the buffer ([1, 5, 2] pooled to [5, 5, 2]).
+TEST(MaxPool2dModule, WindowLargerThanPlaneThrows) {
+  Rng rng(28);
+  const ag::Var x = ag::leaf(Tensor::from_vector({1, 5, 2}).reshape(
+      Shape{1, 3, 1, 1}));
+  MaxPool2d mp(2, 2);
+  EXPECT_THROW(mp.forward(x), std::runtime_error);
+  EXPECT_THROW(ag::maxpool2d(x, 2, 2), std::runtime_error);
+  EXPECT_THROW(ag::avgpool2d(x, 2, 2), std::runtime_error);
+  EXPECT_THROW(ag::maxpool2d(x, 1, 0), std::runtime_error);  // stride < 1
+  EXPECT_THROW(ag::conv2d(x, ag::leaf(rng.randn(Shape{2, 3, 5, 5})), 1, 1),
+               std::runtime_error);
+  // A window that exactly fits the plane still pools it.
+  const ag::Var y = ag::maxpool2d(
+      ag::leaf(Tensor::from_vector({1, 5, 2, 4}).reshape(Shape{1, 1, 2, 2})),
+      2, 2);
+  EXPECT_EQ(y->shape(), (Shape{1, 1, 1, 1}));
+  EXPECT_FLOAT_EQ(y->value[0], 5.0f);
+}
+
 TEST(Flatten, Shape) {
   Flatten f;
   Rng rng(27);
