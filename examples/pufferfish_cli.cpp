@@ -121,9 +121,11 @@ int usage() {
       "                         [--profile 10g|100g|1g|calibrated]\n"
       "                         [--workers P] [--batch B=32] [--epochs N=8]\n"
       "                         [--classes C=10] [--top N=8]\n"
+      "                         [--input-hw H=32; calibrated: 16, vgg19 32]\n"
+      "                         [--images I=50000 training images/epoch]\n"
       "          picks (rank ratio, hybrid-K, warm-up, bucket, workers,\n"
       "          reducer) minimizing modeled time-to-accuracy; 'calibrated'\n"
-      "          measures this machine's ring + step time first\n");
+      "          measures this machine's step and ring time first\n");
   return 2;
 }
 
@@ -314,15 +316,17 @@ int cmd_plan(const Args& a) {
     // Measure this machine: the trainer's shm ring for alpha/beta, the GEMM
     // kernel for flops, one real training step for compute. Plans from a
     // calibrated profile describe THIS host, not the EC2 presets.
+    // The step runs first: an input too small for the model throws before
+    // the ring calibration spends its time.
     const int cal_workers = a.get_i("workers", 4);
-    std::printf("calibrating (p=%d)...\n", cal_workers);
-    req.hw = plan::calibrated_profile(cal_workers, 3);
-    req.overlap = false;  // the shm executor reduces synchronously
     const int64_t step_hw = req.model == "vgg19" ? 32 : 16;
     req.input_hw = a.get_i("input-hw", static_cast<int>(step_hw), 1);
     req.measured_step_seconds = plan::measure_step_seconds(
         plan::vision_factory(req.model, req.width, req.classes, 1.0, 0),
         req.per_worker_batch, req.input_hw, 3);
+    std::printf("calibrating (p=%d)...\n", cal_workers);
+    req.hw = plan::calibrated_profile(cal_workers, 3);
+    req.overlap = false;  // the shm executor reduces synchronously
     req.workers = {cal_workers};
     std::printf(
         "calibrated: alpha=%.3g s B=%.3g GB/s gemm=%.2f GFLOP/s "

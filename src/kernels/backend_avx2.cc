@@ -1,20 +1,24 @@
-// AVX2+FMA packed GEMM backend.
+// AVX2+FMA GEMM backend: a packed path for wide products and unpacked
+// kernels for thin (rank-width) and small ones; the dispatch is at
+// Avx2Backend and in DESIGN.md §13.
 //
-// GotoBLAS-style blocking: B is packed once into L1-sized (KC x NR) column
-// strips, A is packed per row-chunk per k-block into (KC x MR) row strips,
-// and a 6x16 register-tiled microkernel (12 ymm accumulators, two B loads +
-// six A broadcasts + twelve FMAs per k step) sweeps the tiles. Edge tiles
-// (m % 6, n % 16, any k) run the same kernel on a local tile loaded from the
-// valid region of C and stored back, so no masked loads or scalar inner
-// loops sit on the hot path, and every element of C -- in a full tile or an
-// edge tile -- carries one FMA chain through C in ascending k.
+// Packed path, GotoBLAS-style blocking: B is packed once into L1-sized
+// (KC x NR) column strips, A is packed per row-chunk per k-block into
+// (KC x MR) row strips, and a 6x16 register-tiled microkernel (12 ymm
+// accumulators, two B loads + six A broadcasts + twelve FMAs per k step)
+// sweeps the tiles. Edge tiles (m % 6, n % 16, any k) run the same kernel
+// on a local tile loaded from the valid region of C and stored back, so no
+// masked loads or scalar inner loops sit on the hot path, and every element
+// of C -- in a full tile or an edge tile -- carries one FMA chain through C
+// in ascending k.
 //
-// Parallelism rides the existing deterministic runtime::parallel_for row
-// partitioning (grain MC): chunk boundaries depend only on (m, MC), never on
-// PF_THREADS, and each output row belongs to exactly one chunk -- so results
-// are bitwise identical across thread counts. Across backends the
-// accumulation order differs from the scalar loops by design; that contract
-// is tolerance-gated (see kernels_test.cc).
+// Parallelism rides the deterministic runtime::parallel_for partitioning
+// (packed: rows, grain MC; unpacked: row or column blocks of a shape-only
+// grain): chunk boundaries never depend on PF_THREADS, and each output
+// element belongs to exactly one chunk -- so results are bitwise identical
+// across thread counts. Across backends the accumulation order differs
+// from the scalar loops by design; that contract is tolerance-gated (see
+// kernels_test.cc).
 //
 // Compile/runtime guard: every function touching intrinsics carries
 // __attribute__((target("avx2,fma"))), so this file builds into targets
@@ -36,7 +40,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "kernels/gemm_panels.h"
+#include "kernels/gemm_panels.h"  // Trans
 #include "runtime/buffer_pool.h"
 #include "runtime/thread_pool.h"
 
@@ -51,9 +55,8 @@ constexpr int64_t NR = 16;   // microtile cols (two ymm lanes)
 constexpr int64_t KC = 384;  // k block: one packed B strip = KC*NR*4 = 24 KB
 constexpr int64_t MC = 96;   // rows per parallel chunk; A pack = MC*KC*4 = 96 KB
 
-// Below this many multiply-adds the packing traffic dominates, so fall back
-// to the scalar panels. The cutoff depends only on the shape, keeping
-// backend output deterministic.
+// Below this many multiply-adds the packing traffic dominates, so the
+// unpacked kernels run instead. The cutoff depends only on the shape.
 constexpr int64_t kPackedCutoff = 1 << 15;
 
 inline int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
@@ -307,6 +310,182 @@ PF_TARGET_AVX2 void kern_edge(int64_t kc, const float* ap, const float* bp,
     for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = tmp[r * NR + j];
 }
 
+// ---------------------------------------------------------------------------
+// Unpacked kernels for rank-width shapes (see the dispatch in Avx2Backend).
+// Neither pads a thin dimension up to a 6x16 tile: the row kernel reads
+// both operands in place, the panel kernel transposes 8 rows of A at a
+// time into an L1-sized panel. Both keep each element of C in a register
+// lane for the whole k loop and run c = fma(a, b, c) in ascending k from
+// C's value, the packed path's chain.
+// ---------------------------------------------------------------------------
+
+// Lanes [0, rem) of a column tail.
+PF_TARGET_AVX2 inline __m256i lane_mask(int64_t rem) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Row tile: C rows [0, M) x 8*NV columns stay in registers while the k rows
+// of B stream in place; A element (i, kk) sits at a[i*sai + kk*sak], so
+// one kernel serves A stored (m, k) (NN) and (k, m) (TN). kMask runs one
+// vector on the first `rem` columns with masked loads and stores.
+template <int M, int NV, bool kMask>
+PF_TARGET_AVX2 void rows_tile(const float* a, int64_t sai, int64_t sak,
+                              const float* b, int64_t ldb, float* c,
+                              int64_t ldc, int64_t k, int64_t rem) {
+  static_assert(!kMask || NV == 1);
+  const __m256i mask = lane_mask(kMask ? rem : 8);
+  __m256 acc[M][NV];
+#pragma GCC unroll 8
+  for (int i = 0; i < M; ++i)
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v)
+      acc[i][v] = kMask ? _mm256_maskload_ps(c + i * ldc, mask)
+                        : _mm256_loadu_ps(c + i * ldc + 8 * v);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* brow = b + kk * ldb;
+    __m256 bv[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v)
+      bv[v] = kMask ? _mm256_maskload_ps(brow, mask)
+                    : _mm256_loadu_ps(brow + 8 * v);
+    const float* acol = a + kk * sak;
+#pragma GCC unroll 8
+    for (int i = 0; i < M; ++i) {
+      const __m256 av = _mm256_broadcast_ss(acol + i * sai);
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v)
+        acc[i][v] = _mm256_fmadd_ps(av, bv[v], acc[i][v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < M; ++i)
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      if constexpr (kMask)
+        _mm256_maskstore_ps(c + i * ldc, mask, acc[i][v]);
+      else
+        _mm256_storeu_ps(c + i * ldc + 8 * v, acc[i][v]);
+    }
+}
+
+// M rows of C, columns [j0, j1): the widest tile that fits the registers,
+// then single vectors, then one masked tail.
+template <int M>
+PF_TARGET_AVX2 void rows_span(const float* a, int64_t sai, int64_t sak,
+                              const float* b, int64_t ldb, float* c,
+                              int64_t ldc, int64_t k, int64_t j0, int64_t j1) {
+  constexpr int NV = M <= 2 ? 4 : M <= 6 ? 2 : 1;
+  int64_t j = j0;
+  for (; j + 8 * NV <= j1; j += 8 * NV)
+    rows_tile<M, NV, false>(a, sai, sak, b + j, ldb, c + j, ldc, k, 0);
+  for (; j + 8 <= j1; j += 8)
+    rows_tile<M, 1, false>(a, sai, sak, b + j, ldb, c + j, ldc, k, 0);
+  if (j < j1)
+    rows_tile<M, 1, true>(a, sai, sak, b + j, ldb, c + j, ldc, k, j1 - j);
+}
+
+// c[m, j0..j1) += A @ b[k, j0..j1): blocks of 8 rows (6 when more than 8,
+// so a tile keeps two vectors per row), then the remainder.
+PF_TARGET_AVX2 void rows_gemm(const float* a, int64_t sai, int64_t sak,
+                              const float* b, int64_t ldb, float* c,
+                              int64_t ldc, int64_t m, int64_t k, int64_t j0,
+                              int64_t j1) {
+  static constexpr decltype(&rows_span<1>) span[] = {
+      rows_span<1>, rows_span<2>, rows_span<3>, rows_span<4>,
+      rows_span<5>, rows_span<6>, rows_span<7>, rows_span<8>};
+  const int64_t step = m <= 8 ? m : 6;
+  for (int64_t i0 = 0; i0 < m; i0 += step)
+    span[std::min(step, m - i0) - 1](a + i0 * sai, sai, sak, b, ldb,
+                                     c + i0 * ldc, ldc, k, j0, j1);
+}
+
+// In-register transpose of an 8x8 block: r[i] lane j <- r[j] lane i.
+PF_TARGET_AVX2 inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Rows [0, mr) (mr <= 8) of a (m, k) operand as a (k, 8) panel: panel
+// row kk holds a[0..8)[kk], rows past mr zero.
+PF_TARGET_AVX2 void pack_rows8(const float* a, int64_t lda, int64_t mr,
+                               int64_t k, float* p) {
+  int64_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    __m256 r[8];
+    for (int i = 0; i < 8; ++i)
+      r[i] = i < mr ? _mm256_loadu_ps(a + i * lda + kk) : _mm256_setzero_ps();
+    transpose8(r);
+    for (int j = 0; j < 8; ++j) _mm256_storeu_ps(p + (kk + j) * 8, r[j]);
+  }
+  for (; kk < k; ++kk)
+    for (int64_t i = 0; i < 8; ++i)
+      p[kk * 8 + i] = i < mr ? a[i * lda + kk] : 0.0f;
+}
+
+// NT tile: 8 rows of C (lanes) x NJ columns (registers) over a packed A
+// panel, each k step one panel load and NJ broadcasts of B = (n, k).
+template <int NJ>
+PF_TARGET_AVX2 void nt_tile(const float* p, const float* b, int64_t ldb,
+                            float* c, int64_t ldc, int64_t mr, int64_t k) {
+  alignas(32) float t[NJ * 8] = {};
+  for (int64_t i = 0; i < mr; ++i)
+    for (int j = 0; j < NJ; ++j) t[j * 8 + i] = c[i * ldc + j];
+  __m256 acc[NJ];
+#pragma GCC unroll 8
+  for (int j = 0; j < NJ; ++j) acc[j] = _mm256_load_ps(t + j * 8);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const __m256 av = _mm256_loadu_ps(p + kk * 8);
+#pragma GCC unroll 8
+    for (int j = 0; j < NJ; ++j)
+      acc[j] = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + j * ldb + kk),
+                               acc[j]);
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < NJ; ++j) _mm256_store_ps(t + j * 8, acc[j]);
+  for (int64_t i = 0; i < mr; ++i)
+    for (int j = 0; j < NJ; ++j) c[i * ldc + j] = t[j * 8 + i];
+}
+
+// c[r0..r1, n] += a @ b^T: per 8-row block, pack A once, then one NT tile
+// per group of up to 8 columns.
+PF_TARGET_AVX2 void nt_rows(const float* a, const float* b, float* c,
+                            int64_t r0, int64_t r1, int64_t k, int64_t n,
+                            float* p) {
+  static constexpr decltype(&nt_tile<1>) tile[] = {
+      nt_tile<1>, nt_tile<2>, nt_tile<3>, nt_tile<4>,
+      nt_tile<5>, nt_tile<6>, nt_tile<7>, nt_tile<8>};
+  for (int64_t i0 = r0; i0 < r1; i0 += 8) {
+    const int64_t mr = std::min<int64_t>(8, r1 - i0);
+    pack_rows8(a + i0 * k, k, mr, k, p);
+    for (int64_t j0 = 0; j0 < n; j0 += 8)
+      tile[std::min<int64_t>(8, n - j0) - 1](p, b + j0 * k, k,
+                                             c + i0 * n + j0, n, mr, k);
+  }
+}
+
 // One row chunk [r0, r1) of the packed GEMM: pack A per k block, then sweep
 // B strips x A strips. Kept out of the parallel_for lambda because lambdas
 // do not reliably inherit __attribute__((target)) in GCC.
@@ -356,52 +535,63 @@ void gemm_packed(const float* a, int64_t lda, const float* b, int64_t ldb,
   });
 }
 
+// c[m, n] += A @ b (b (k, n) row-major) on the unpacked row kernel,
+// parallel over column blocks: 32-column multiples (every tile width)
+// worth ~256k multiply-adds, so the split depends on the shape only and
+// never splits a tile.
+void rows_parallel(const float* a, int64_t sai, int64_t sak, const float* b,
+                   float* c, int64_t m, int64_t k, int64_t n) {
+  const int64_t grain =
+      32 * std::max<int64_t>(1, (1 << 18) / std::max<int64_t>(1, 32 * m * k));
+  runtime::parallel_for(0, n, grain, [=](int64_t j0, int64_t j1) {
+    rows_gemm(a, sai, sak, b, n, c, n, m, k, j0, j1);
+  });
+}
+
+// Rows 8 at a time, each chunk packing its A blocks into one pooled panel.
+void nt_parallel(const float* a, const float* b, float* c, int64_t m,
+                 int64_t k, int64_t n) {
+  const int64_t grain =
+      8 * std::max<int64_t>(1, (1 << 18) / std::max<int64_t>(1, 8 * k * n));
+  runtime::parallel_for(0, m, grain, [=](int64_t r0, int64_t r1) {
+    Scratch panel(k * 8);
+    nt_rows(a, b, c, r0, r1, k, n, panel.p);
+  });
+}
+
+// Dispatch, by shape only (DESIGN.md §13): NN / TN with m <= 8 or below the
+// packed cutoff run the row kernel; NT with m <= 8 or n < 8 runs the panel
+// kernel, and the remaining NT with n <= 16 or below the cutoff the row
+// kernel on a transposed B; the rest packs. Every path chains each element
+// of C through fma in ascending k, so which one runs never changes a bit.
 class Avx2Backend final : public Backend {
  public:
   const char* name() const override { return "avx2"; }
 
   void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
                int64_t n) const override {
-    if (m * k * n < kPackedCutoff) {
-      runtime::parallel_for(0, m, row_grain(k, n), [=](int64_t r0, int64_t r1) {
-        gemm_panel<Trans::N, Trans::N>(a + r0 * k, k, b, n, c + r0 * n, n,
-                                       r1 - r0, k, n);
-      });
-      return;
-    }
+    if (m <= 8 || m * k * n < kPackedCutoff)
+      return rows_parallel(a, k, 1, b, c, m, k, n);
     gemm_packed<Trans::N, Trans::N>(a, k, b, n, c, n, m, k, n);
   }
 
   void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t k,
                int64_t n) const override {
-    if (m * k * n < kPackedCutoff) {
-      runtime::parallel_for(0, m, row_grain(k, n), [=](int64_t r0, int64_t r1) {
-        gemm_panel<Trans::T, Trans::N>(a + r0, m, b, n, c + r0 * n, n, r1 - r0,
-                                       k, n);
-      });
-      return;
-    }
+    if (m <= 8 || m * k * n < kPackedCutoff)
+      return rows_parallel(a, 1, m, b, c, m, k, n);
     gemm_packed<Trans::T, Trans::N>(a, m, b, n, c, n, m, k, n);
   }
 
+  // Accumulates into the caller-zeroed c on every path. Below the cutoff
+  // with n > 16, b is transposed into pooled scratch for the row kernel.
   void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t k,
                int64_t n) const override {
-    // Accumulates into the caller-zeroed c on both paths (the scalar panel
-    // overwrites instead; both observe the "c starts zeroed" contract).
-    // Below the cutoff b is transposed into pooled scratch and the NN panel
-    // runs, so every element chains ascending k through c exactly as the
-    // packed path does: a row's bits do not depend on how many rows the
-    // GEMM has, on either side of the cutoff.
-    if (m * k * n < kPackedCutoff) {
+    if (m <= 8 || n < 8) return nt_parallel(a, b, c, m, k, n);
+    if (n <= 16 || m * k * n < kPackedCutoff) {
       Scratch bt(k * n);
       for (int64_t j = 0; j < n; ++j)
         for (int64_t kk = 0; kk < k; ++kk) bt.p[kk * n + j] = b[j * k + kk];
-      const float* btp = bt.p;
-      runtime::parallel_for(0, m, row_grain(k, n), [=](int64_t r0, int64_t r1) {
-        gemm_panel<Trans::N, Trans::N>(a + r0 * k, k, btp, n, c + r0 * n, n,
-                                       r1 - r0, k, n);
-      });
-      return;
+      return rows_parallel(a, k, 1, bt.p, c, m, k, n);
     }
     gemm_packed<Trans::N, Trans::T>(a, k, b, k, c, n, m, k, n);
   }

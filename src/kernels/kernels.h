@@ -9,9 +9,14 @@
 //  * "scalar" -- the reference backend: the seed triple-loop kernels,
 //    bit-for-bit. Golden values, convergence gates, and cross-run
 //    reproducibility are defined against it.
-//  * "avx2"   -- a cache-blocked, register-tiled, operand-packing AVX2+FMA
-//    GEMM (backend_avx2.cc). Only registered when the compiler can target
-//    AVX2 *and* the host CPU reports avx2+fma at runtime.
+//  * "avx2"   -- AVX2+FMA GEMMs (backend_avx2.cc): a cache-blocked,
+//    operand-packing 6x16 tile kernel for wide products, and unpacked
+//    register kernels for thin ones (NN / TN with m <= 8, NT with
+//    n <= 16 or m <= 8) and for products below the packed cutoff.
+//    The path depends on the shape only, and every path chains each
+//    element of C through fma in ascending k, so all give the same bits
+//    (DESIGN.md §13). Only registered when the compiler can target AVX2
+//    *and* the host CPU reports avx2+fma at runtime.
 //
 // Selection: PF_BACKEND=scalar|avx2|auto (default auto = avx2 when
 // available, else scalar), read once on first use; set_backend() overrides
@@ -66,8 +71,9 @@ class Backend {
 
   // Convolution lowering of `nb` consecutive images into / out of one
   // (patch, nb*out_h*out_w) column matrix; the single-image lowering is
-  // nb = 1. The defaults (kernels.cc) are portable scalar copies; a backend
-  // may override with a vectorized copy. Layout and zero-padding semantics
+  // nb = 1. The defaults (kernels.cc) are portable loops, compiled per
+  // output width and, at stride 1, for the stride, so those rows
+  // vectorize; both backends use them. Layout and zero-padding semantics
   // are fixed by tensor/im2col.h.
   virtual void im2col(const float* img, const ConvGeom& g, int64_t nb,
                       float* col) const;

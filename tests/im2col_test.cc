@@ -1,7 +1,12 @@
 #include "tensor/im2col.h"
 
 #include <gtest/gtest.h>
+
 #include <cmath>
+#include <cstring>
+#include <string>
+
+#include "kernels/kernels.h"
 
 #include "tensor/matmul.h"
 #include "tensor/rng.h"
@@ -87,6 +92,55 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{3, 8, 8, 3, 2, 0},
                       ConvCase{1, 4, 4, 7, 1, 3},
                       ConvCase{2, 9, 9, 1, 2, 0}));
+
+// The backend lowering against plain loops over nb = 3 images, 3x3 taps,
+// pad 1, at stride 1 and 2 and output widths 2, 4, 8 and 16 (each a
+// compile-time width) and 5 (the runtime width). im2col is a copy, so it
+// must match exactly; col2im must match bitwise a scatter-add that adds
+// each pixel's taps in ascending (ki, kj) order onto the zeroed image.
+TEST(Im2Col, StrideAndWidthSpecializedLoweringMatchesLoops) {
+  const std::string prev = kernels::backend_name();
+  const int64_t nb = 3, c_in = 2, k = 3, pad = 1;
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    for (int64_t stride : {1, 2})
+      for (int64_t ow : {2, 4, 8, 16, 5}) {
+        const ConvGeom g{c_in, 5, stride * ow, k, stride, pad};
+        ASSERT_EQ(g.out_w(), ow);
+        const int64_t oh = g.out_h(), cols = nb * oh * ow;
+        Rng rng(static_cast<uint64_t>(stride * 100 + ow));
+        const Tensor x = rng.randn(Shape{nb, c_in, g.h, g.w});
+        const Tensor y = rng.randn(Shape{g.patch(), cols});
+        Tensor col(Shape{g.patch(), cols}), want_col(Shape{g.patch(), cols});
+        Tensor img(Shape{nb, c_in, g.h, g.w}), want_img(img.shape());
+        im2col(x.data(), g, col.data(), nb);
+        col2im(y.data(), g, img.data(), nb);
+        for (int64_t c = 0; c < c_in; ++c)
+          for (int64_t ki = 0; ki < k; ++ki)
+            for (int64_t kj = 0; kj < k; ++kj)
+              for (int64_t s = 0; s < nb; ++s)
+                for (int64_t oy = 0; oy < oh; ++oy)
+                  for (int64_t ox = 0; ox < ow; ++ox) {
+                    const int64_t iy = oy * stride - pad + ki;
+                    const int64_t ix = ox * stride - pad + kj;
+                    const int64_t r = (c * k + ki) * k + kj;
+                    const int64_t j = (s * oh + oy) * ow + ox;
+                    if (iy < 0 || iy >= g.h || ix < 0 || ix >= g.w) continue;
+                    const int64_t p = ((s * c_in + c) * g.h + iy) * g.w + ix;
+                    want_col[r * cols + j] = x[p];
+                    want_img[p] += y[r * cols + j];
+                  }
+        const auto bytes = [](const Tensor& t) {
+          return static_cast<size_t>(t.numel()) * sizeof(float);
+        };
+        EXPECT_EQ(std::memcmp(col.data(), want_col.data(), bytes(col)), 0)
+            << backend << " im2col stride " << stride << " ow " << ow;
+        EXPECT_EQ(std::memcmp(img.data(), want_img.data(), bytes(img)), 0)
+            << backend << " col2im stride " << stride << " ow " << ow;
+      }
+  }
+  kernels::set_backend(prev.c_str());
+}
 
 TEST(Im2Col, GeometryHelpers) {
   ConvGeom g{3, 32, 32, 3, 1, 1};

@@ -449,9 +449,9 @@ Tensor block(const Tensor& t, int64_t r0, int64_t rows, int64_t c0,
 // of A, B and C is multiplied on its own -- rows alone (m = 1), 7 rows
 // (a full 6-row tile plus a 1-row edge tile) and all 16; columns 4 wide
 // (an edge tile) and all 32 (two full tiles) -- and must equal the same
-// block of the 16 x 32 product bitwise. The shapes straddle the avx2
-// packed-path cutoff too, so the scalar panels must agree with the packed
-// tiles as well.
+// block of the 16 x 32 product bitwise. The blocks take other avx2 paths
+// than the 16-row product (the row kernel at m <= 8 or below the packed
+// cutoff), so those must agree with the packed tiles as well.
 TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
   BackendGuard guard;
   Rng rng(63);
@@ -502,10 +502,11 @@ TEST(KernelsEdgeTiles, BlockOfProductEqualsProductOfBlocksAtDeepK) {
 
 // The rows of matmul_nt do not depend on how many rows the GEMM has: the
 // first m rows computed at m = 1..256 equal, bitwise, those rows of the
-// m = 256 product, per backend and at 1 and 4 threads. On avx2 the m*k*n
-// products of these shapes cross the packed-path cutoff (32,768) as m
-// grows; (128, 10) is the width-0.25 ResNet-18 classifier, whose served
-// rows must not change with the batch they arrive in (serve/fleet.h).
+// m = 256 product, per backend and at 1 and 4 threads. On avx2 these
+// shapes change kernel as m grows (the NT panel kernel up to 8 rows, then
+// the transposed-B row kernel or the packed tiles; DESIGN.md §13);
+// (128, 10) is the width-0.25 ResNet-18 classifier, whose served rows must
+// not change with the batch they arrive in (serve/fleet.h).
 TEST(KernelsEdgeTiles, NtRowsIndependentOfRowCount) {
   BackendGuard guard;
   const std::pair<int64_t, int64_t> shapes[] = {
@@ -525,6 +526,86 @@ TEST(KernelsEdgeTiles, NtRowsIndependentOfRowCount) {
                                     block(full, 0, m, 0, n)))
               << backend << " threads " << threads << " (k, n) = (" << k
               << ", " << n << ") m " << m;
+      }
+    }
+  }
+}
+
+// The rank-width shapes of the benchmark's ResNet-18 and LSTM, above and
+// below the avx2 packed-path cutoff: a thin product is a block of rows (NN
+// and TN with m <= 8, NT with m <= 8) or of columns (NT with n <= 16) of a
+// wide product of the same operands, and must equal that block bitwise at
+// 1 and 4 threads. On avx2 the wide product runs the 6x16 packed tiles,
+// except an NT product with n <= 16 and m > 8 (the last two NT-row cases),
+// which runs the transposed-B row kernel. NN and TN start from a non-zero
+// C, so the chain must run through C.
+TEST(KernelsEdgeTiles, ThinPathsEqualPackedTilesBitwise) {
+  BackendGuard guard;
+  struct Thin {
+    int64_t m, k, n;
+  };
+  // The wide extent: over 16 and enough for m*k*n >= 32,768.
+  auto wide = [](int64_t k, int64_t other) {
+    return std::max<int64_t>(24, (1 << 15) / (k * other) + 1);
+  };
+  const Thin rows[] = {{1, 72, 768}, {2, 72, 768}, {4, 144, 448},
+                       {8, 288, 224}, {8, 48, 12}, {8, 12, 48}, {4, 16, 112}};
+  const Thin nt_cols[] = {{72, 768, 2},  {144, 448, 4}, {576, 112, 16},
+                          {72, 768, 1},  {288, 224, 8}, {200, 48, 12},
+                          {30, 12, 16}};
+  const Thin nt_rows[] = {{8, 448, 32}, {8, 12, 48}, {2, 768, 8}, {8, 48, 12}};
+  for (const char* backend : {"scalar", "avx2"}) {
+    if (!kernels::set_backend(backend)) continue;  // avx2 host gate
+    const kernels::Backend& be = kernels::active();
+    for (int threads : {1, 4}) {
+      runtime::set_threads(threads);
+      for (const auto& [m, k, n] : rows) {
+        const int64_t mw = wide(k, n), r0 = mw - m;  // the last rows
+        Rng rng(static_cast<uint64_t>(m * 7919 + k * 31 + n));
+        const Tensor a = rng.randn(Shape{mw, k});
+        const Tensor at = rng.randn(Shape{k, mw});  // gemm_tn's (k, m)
+        const Tensor b = rng.randn(Shape{k, n});
+        const Tensor c0 = rng.randn(Shape{mw, n});
+        Tensor nn = c0, tn = c0;  // copy-on-write: each write unshares
+        be.gemm_nn(a.data(), b.data(), nn.data(), mw, k, n);
+        be.gemm_tn(at.data(), b.data(), tn.data(), mw, k, n);
+        Tensor nn_thin = block(c0, r0, m, 0, n), tn_thin = nn_thin;
+        be.gemm_nn(block(a, r0, m, 0, k).data(), b.data(), nn_thin.data(), m,
+                   k, n);
+        be.gemm_tn(block(at, 0, k, r0, m).data(), b.data(), tn_thin.data(),
+                   m, k, n);
+        EXPECT_TRUE(bitwise_equal(nn_thin, block(nn, r0, m, 0, n)))
+            << backend << " threads " << threads << " NN " << m << "x" << k
+            << "x" << n;
+        EXPECT_TRUE(bitwise_equal(tn_thin, block(tn, r0, m, 0, n)))
+            << backend << " threads " << threads << " TN " << m << "x" << k
+            << "x" << n;
+      }
+      for (const auto& [m, k, n] : nt_cols) {
+        const int64_t nw = wide(k, m), j0 = nw - n;  // the last columns
+        Rng rng(static_cast<uint64_t>(m * 104729 + k * 31 + n));
+        const Tensor a = rng.randn(Shape{m, k});
+        const Tensor b = rng.randn(Shape{nw, k});
+        Tensor full(Shape{m, nw}), thin(Shape{m, n});
+        be.gemm_nt(a.data(), b.data(), full.data(), m, k, nw);
+        be.gemm_nt(a.data(), block(b, j0, n, 0, k).data(), thin.data(), m, k,
+                   n);
+        EXPECT_TRUE(bitwise_equal(thin, block(full, 0, m, j0, n)))
+            << backend << " threads " << threads << " NT " << m << "x" << k
+            << "x" << n;
+      }
+      for (const auto& [m, k, n] : nt_rows) {
+        const int64_t mw = wide(k, n), r0 = mw - m;
+        Rng rng(static_cast<uint64_t>(m * 15485863 + k * 31 + n));
+        const Tensor a = rng.randn(Shape{mw, k});
+        const Tensor b = rng.randn(Shape{n, k});
+        Tensor full(Shape{mw, n}), thin(Shape{m, n});
+        be.gemm_nt(a.data(), b.data(), full.data(), mw, k, n);
+        be.gemm_nt(block(a, r0, m, 0, k).data(), b.data(), thin.data(), m, k,
+                   n);
+        EXPECT_TRUE(bitwise_equal(thin, block(full, r0, m, 0, n)))
+            << backend << " threads " << threads << " NT " << m << "x" << k
+            << "x" << n;
       }
     }
   }

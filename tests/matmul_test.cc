@@ -81,7 +81,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MmCase{1, 1, 1}, MmCase{2, 3, 4}, MmCase{7, 5, 3},
                       MmCase{16, 16, 16}, MmCase{33, 65, 17},
                       MmCase{128, 130, 3}, MmCase{3, 300, 5},
-                      MmCase{64, 1, 64}));
+                      MmCase{64, 1, 64},
+                      // Rank-width shapes with column and row tails: the
+                      // avx2 row kernel (m <= 8 or k <= 4) and NT kernels.
+                      MmCase{2, 72, 37}, MmCase{8, 48, 12},
+                      MmCase{40, 33, 12}, MmCase{70, 4, 9},
+                      MmCase{13, 200, 2}));
 
 TEST(Bmm, MatchesPerBatchMatmul) {
   Rng rng(5);

@@ -324,7 +324,7 @@ TEST(Frozen, LstmBitwiseIdenticalToModuleEvalForward) {
 
 // A 32-sample forward equals the 32 single-sample forwards, bitwise, row
 // for row. The width-0.25 hybrid ResNet-18's classifier GEMM (128 -> 10)
-// crosses the avx2 packed-path cutoff at batch 26, so this pins that a
+// changes avx2 kernel at batch 9 (DESIGN.md §13), so this pins that a
 // served row does not depend on the size of the batch it is served in.
 TEST(Frozen, BatchForwardEqualsSingleSampleForwardsBitwise) {
   Rng rng(23);
