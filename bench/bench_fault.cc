@@ -141,7 +141,7 @@ void shm_recovery_table(const pf::data::SyntheticImages& ds) {
   pf::metrics::Table t({"scenario", "train s", "fault s", "kills", "delays",
                         "recoveries", "bitwise = fault-free"});
   for (Scenario& sc : scenarios) {
-    pf::metrics::reset_fault_stats();
+    pf::fault::reset_stats();
     pf::runtime::ShmClusterConfig scfg = cluster_config(2);
     scfg.fault = sc.plan;
     pf::runtime::ShmDataParallelTrainer trainer(factory, nullptr, scfg);
@@ -150,7 +150,7 @@ void shm_recovery_table(const pf::data::SyntheticImages& ds) {
     const double train_s = wall.seconds();
     const pf::Tensor params = trainer.model().flat_params();
     if (sc.name == "fault-free") baseline = params;
-    const pf::fault::FaultStats s = pf::metrics::fault_stats();
+    const pf::fault::FaultStats s = pf::fault::stats();
     t.add_row({sc.name, pf::metrics::fmt(train_s),
                pf::metrics::fmt(trainer.fault_seconds(), 4),
                pf::metrics::fmt_int(static_cast<int64_t>(s.injected_kills)),
@@ -182,7 +182,7 @@ void serve_retry_table() {
   pf::metrics::Table t({"scenario", "completed", "drops", "retries",
                         "recoveries", "s"});
   for (const Scenario& sc : scenarios) {
-    pf::metrics::reset_fault_stats();
+    pf::fault::reset_stats();
     pf::serve::ServerConfig cfg;
     cfg.workers = 2;
     cfg.batcher.max_batch = 8;
@@ -207,7 +207,7 @@ void serve_retry_table() {
         },
         lg);
     server.stop();
-    const pf::fault::FaultStats s = pf::metrics::fault_stats();
+    const pf::fault::FaultStats s = pf::fault::stats();
     t.add_row({sc.name,
                pf::metrics::fmt_int(done) + "/128",
                pf::metrics::fmt_int(static_cast<int64_t>(s.dropped_requests)),
@@ -216,7 +216,7 @@ void serve_retry_table() {
                pf::metrics::fmt(wall.seconds())});
   }
   t.print();
-  pf::metrics::reset_fault_stats();
+  pf::fault::reset_stats();
 }
 
 }  // namespace

@@ -13,7 +13,6 @@ namespace pf::core {
 
 namespace {
 
-constexpr uint64_t kTrainStateMagicV1 = 0x5055464654535431ull;  // read only
 constexpr uint64_t kTrainStateMagicV2 = 0x5055464654535432ull;
 
 void put(io::ByteWriter& w, int64_t v) { w.u64(static_cast<uint64_t>(v)); }
@@ -88,7 +87,6 @@ void save_train_state(const TrainState& st, const std::string& path) {
   put(w, st.worker_rngs);
   put(w, st.opt_scalars);
   put(w, st.opt_tensors);
-  // v2 tail: moving per-layer ranks + stateful-reducer buffers.
   put(w, st.layer_ranks);
   put(w, st.reducer.scalars);
   put(w, st.reducer.tensors);
@@ -98,34 +96,23 @@ void save_train_state(const TrainState& st, const std::string& path) {
 TrainState load_train_state(const std::string& path) {
   const std::string what = "train state " + path;
   const std::vector<char> file = io::read_file(path, what);
-  io::Envelope env = io::read_envelope(
-      file, {kTrainStateMagicV1, kTrainStateMagicV2}, {}, what);
+  io::Envelope env = io::read_envelope(file, {kTrainStateMagicV2}, {}, what);
   io::ByteReader& r = env.payload;
-  const bool v1 = env.magic == kTrainStateMagicV1;
   TrainState st;
   st.next_epoch = static_cast<int64_t>(r.u64());
   st.global_step = static_cast<int64_t>(r.u64());
   st.low_rank_phase = r.flag();
   st.svd_seconds = r.f64();
   st.cumulative_seconds = r.f64();
-  // v1 wrote 3 policy words; the 4-word layouts of the legacy kinds are
-  // their 3-word layouts zero-extended, so reading 3 + leaving word 3 at 0
-  // decodes identically.
-  const size_t n_policy_words = v1 ? 3 : 4;
-  for (size_t i = 0; i < n_policy_words; ++i) st.policy[i] = r.u64();
-  if (v1 && st.policy[0] >= 2)
-    r.fail("v1 snapshot with policy kind word " +
-           std::to_string(st.policy[0]) + ", which no v1 writer produced");
+  for (uint64_t& w : st.policy) w = r.u64();
   st.model_hash = r.u64();
   get(r, st.rng);
   get(r, st.worker_rngs);
   get(r, st.opt_scalars);
   get(r, st.opt_tensors);
-  if (!v1) {
-    get(r, st.layer_ranks);
-    get(r, st.reducer.scalars);
-    get(r, st.reducer.tensors);
-  }
+  get(r, st.layer_ranks);
+  get(r, st.reducer.scalars);
+  get(r, st.reducer.tensors);
   r.expect_end();
   return st;
 }

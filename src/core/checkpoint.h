@@ -3,12 +3,13 @@
 // A run is deterministic given (seed, config), so a snapshot at an epoch
 // boundary only captures the state that evolves across it (fields below).
 //
-// Payload (framing: io/artifact.h): next_epoch | global_step |
-// low_rank_phase | svd_seconds | cumulative_seconds | policy words (3 in v1,
-// 4 in v2) | model_hash | rng | worker rngs | optimizer scalars | optimizer
-// tensors, then in v2 ("PUFFTST2") layer_ranks | reducer scalars | reducer
-// tensors. A list is a u64 count and its elements; an rng is its 4 state
-// words, the has_cached flag and the cached double.
+// Payload (framing: io/artifact.h, magic "PUFFTST2"): next_epoch |
+// global_step | low_rank_phase | svd_seconds | cumulative_seconds | 4 policy
+// words | model_hash | rng | worker rngs | optimizer scalars | optimizer
+// tensors | layer_ranks | reducer scalars | reducer tensors. A list is a u64
+// count and its elements; an rng is its 4 state words, the has_cached flag
+// and the cached double. The retired v1 format ("PUFFTST1") no longer
+// loads.
 #pragma once
 
 #include <string>
@@ -36,14 +37,13 @@ struct TrainState {
   std::vector<int64_t> opt_scalars;  // optimizer integer state (Adam's t)
   std::vector<Tensor> opt_tensors;   // optimizer slot buffers, stable order
 
-  // v2 ("PUFFTST2") additions. layer_ranks: each low-rank layer's rank in
+  // layer_ranks: each low-rank layer's rank in
   // core::collect_ranks order -- under kAbReproject the ranks move during
   // training, and a resumed run must re-shape its hybrid (core::apply_ranks)
   // before loading weights. reducer: a stateful gradient reducer's evolving
   // buffers (error-feedback residuals, sign momentum, variance-gate
   // moments); dropping them on resume would silently re-lose the deferred
-  // gradient mass. Both empty for v1-era configurations, and v1 snapshots
-  // load with both empty (the legacy policy kinds never populate them).
+  // gradient mass. Both empty when the run has neither.
   std::vector<int64_t> layer_ranks;
   compress::ReducerState reducer;
 

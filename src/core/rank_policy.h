@@ -98,9 +98,7 @@ struct RankPolicy {
   // verifies it was handed the policy that produced the snapshot, because
   // silently continuing a 0.25-ratio run under an energy policy would
   // fine-tune a different hybrid than the one the snapshot's phase was
-  // planned for. The first three words of the kFixedRatio / kEnergy
-  // layouts are identical to the legacy 3-word encoding, so v1 snapshots
-  // decode by zero-extending. decode() rejects unknown kind words with a
+  // planned for. decode() rejects unknown kind words with a
   // clear error instead of silently treating them as kFixedRatio.
   std::array<uint64_t, 4> encode() const;
   static RankPolicy decode(const std::array<uint64_t, 4>& words);

@@ -1,6 +1,7 @@
 #include "io/artifact.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -154,6 +155,21 @@ std::vector<char> read_file(const std::string& path,
   return file;
 }
 
+namespace {
+
+// A magic as the 8 characters it spells ("PUFFCKP2"), so an error names the
+// format a file is in -- a retired one included.
+std::string magic_name(uint64_t magic) {
+  std::string s;
+  for (int i = 7; i >= 0; --i) {
+    const char c = static_cast<char>(magic >> (8 * i));
+    s += std::isprint(static_cast<unsigned char>(c)) ? c : '?';
+  }
+  return '"' + s + '"';
+}
+
+}  // namespace
+
 Envelope read_envelope(const std::vector<char>& file,
                        std::initializer_list<uint64_t> magics,
                        std::initializer_list<uint8_t> header,
@@ -161,7 +177,9 @@ Envelope read_envelope(const std::vector<char>& file,
   ByteReader in(file.data(), file.size(), what);
   const uint64_t magic = in.u64();
   if (std::find(magics.begin(), magics.end(), magic) == magics.end())
-    in.fail("bad magic");
+    in.fail("bad magic " + magic_name(magic) + ", expected " +
+            magic_name(*magics.begin()) +
+            " (not an artifact of this kind, or a retired format)");
   for (const uint8_t want : header)
     if (in.u8() != want)
       in.fail("unsupported format version or wrong artifact kind");

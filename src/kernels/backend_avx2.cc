@@ -171,44 +171,6 @@ PF_TARGET_AVX2 void pack_a(const float* a, int64_t lda, int64_t m, int64_t k0,
   }
 }
 
-// Dequantizing pack for the quantized-weight GEMM (Backend::gemm_nt_q):
-// B stored quantized (n, k) feeding an NT GEMM, in the pack_b Trans::T
-// layout, but the source elements are expanded from int8 (scale * code) or
-// bf16 (bit shift) while they stream into the panel -- the dequantized
-// matrix is never materialized. Element values are computed with the exact
-// expressions dequant_rows uses, so the fused results are bitwise identical
-// to the default dequant-then-GEMM. (Quantized convs have no fused pack:
-// measured against dequantize-then-gemm_nn it bought nothing; see
-// EXPERIMENTS.md.)
-PF_TARGET_AVX2 void pack_b_qt(const QView& b, int64_t ldb, int64_t k,
-                              int64_t n, float* bp) {
-  const int64_t npc = ceil_div(k, KC), nstr = ceil_div(n, NR);
-  for (int64_t pc = 0; pc < npc; ++pc) {
-    const int64_t k0 = pc * KC, kc = std::min(KC, k - k0);
-    for (int64_t js = 0; js < nstr; ++js) {
-      const int64_t j0 = js * NR, nr = std::min(NR, n - j0);
-      float* dst = bp + b_strip(pc, js, nstr, kc);
-      for (int64_t j = 0; j < nr; ++j) {
-        const int64_t row = j0 + j;
-        if (b.b16) {
-          const uint16_t* src = b.b16 + row * ldb + k0;
-          for (int64_t kk = 0; kk < kc; ++kk) {
-            const uint32_t u = static_cast<uint32_t>(src[kk]) << 16;
-            std::memcpy(dst + kk * NR + j, &u, sizeof(float));
-          }
-        } else {
-          const float scale = b.scales[row];
-          const int8_t* src = b.q + row * ldb + k0;
-          for (int64_t kk = 0; kk < kc; ++kk)
-            dst[kk * NR + j] = scale * static_cast<float>(src[kk]);
-        }
-      }
-      for (int64_t j = nr; j < NR; ++j)
-        for (int64_t kk = 0; kk < kc; ++kk) dst[kk * NR + j] = 0.0f;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Microkernels.
 // ---------------------------------------------------------------------------
@@ -594,24 +556,6 @@ class Avx2Backend final : public Backend {
       return rows_parallel(a, k, 1, bt.p, c, m, k, n);
     }
     gemm_packed<Trans::N, Trans::T>(a, k, b, k, c, n, m, k, n);
-  }
-
-  // Fused dequant-GEMM. Below the packed cutoff the default (dequant into
-  // pooled scratch + this backend's own float GEMM) already wins, so only
-  // the packed path carries the fused variant.
-  void gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
-                 int64_t k, int64_t n) const override {
-    if (m * k * n < kPackedCutoff) {
-      Backend::gemm_nt_q(a, b, c, m, k, n);
-      return;
-    }
-    Scratch bpack(ceil_div(n, NR) * k * NR);
-    pack_b_qt(b, k, k, n, bpack.p);
-    const float* bp_all = bpack.p;
-    runtime::parallel_for(0, m, MC, [=](int64_t r0, int64_t r1) {
-      Scratch apack(ceil_div(r1 - r0, MR) * KC * MR);
-      gemm_chunk<Trans::N>(a, k, bp_all, c, n, r0, r1, k, n, apack.p);
-    });
   }
 };
 

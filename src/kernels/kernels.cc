@@ -155,39 +155,6 @@ void Backend::col2im(const float* col, const ConvGeom& g, int64_t nb,
   });
 }
 
-void dequant_rows(const QView& v, int64_t rows, int64_t cols, float* out) {
-  const int64_t grain = std::max<int64_t>(1, 16384 / std::max<int64_t>(1, cols));
-  runtime::parallel_for(0, rows, grain, [=](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      float* d = out + r * cols;
-      if (v.b16) {
-        const uint16_t* src = v.b16 + r * cols;
-        for (int64_t c = 0; c < cols; ++c) {
-          const uint32_t u = static_cast<uint32_t>(src[c]) << 16;
-          std::memcpy(d + c, &u, sizeof(float));
-        }
-      } else {
-        const float scale = v.scales[r];
-        const int8_t* src = v.q + r * cols;
-        for (int64_t c = 0; c < cols; ++c)
-          d[c] = scale * static_cast<float>(src[c]);
-      }
-    }
-  });
-}
-
-// Reference dequant-GEMM semantics: expand the quantized operand into pooled
-// scratch, then run this backend's own float GEMM. The fused override
-// (backend_avx2.cc) must match this bit-for-bit per backend.
-void Backend::gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
-                        int64_t k, int64_t n) const {
-  int64_t cap = 0;
-  float* w = runtime::BufferPool::instance().acquire(n * k, &cap);
-  dequant_rows(b, n, k, w);
-  gemm_nt(a, w, c, m, k, n);
-  runtime::BufferPool::instance().release(w, cap);
-}
-
 namespace {
 
 std::atomic<const Backend*> g_active{nullptr};

@@ -1,10 +1,10 @@
 // Pluggable kernel backends with runtime dispatch.
 //
 // Every heavy-math entry point in the repo (matmul/bmm wrappers, im2col
-// convolution lowering, the fused low-rank forward, the quantized-weight
-// GEMM gemm_nt_q) bottoms out in a pf::kernels::Backend. Quantized convs
-// add no entry point: they dequantize their weight (dequant_rows) and run
-// the fp32 conv. Two backends exist:
+// convolution lowering, the fused low-rank forward) bottoms out in a
+// pf::kernels::Backend, which holds only float GEMMs and conv lowering.
+// Quantized weights add no entry point: a quantized layer dequantizes its
+// weights (kernels/qmat.h) and runs the fp32 op. Two backends exist:
 //
 //  * "scalar" -- the reference backend: the seed triple-loop kernels,
 //    bit-for-bit. Golden values, convergence gates, and cross-run
@@ -33,19 +33,6 @@
 #include "tensor/tensor.h"
 
 namespace pf::kernels {
-
-// Weight quantization modes (qmat.h holds the owning QuantizedMat type).
-enum class QMode : uint8_t { kInt8 = 0, kBf16 = 1 };
-
-// Non-owning view of one quantized operand. Exactly one of `q` (int8 codes,
-// with `scales` holding one fp32 scale per stored row) or `b16` (bf16 bit
-// patterns, no scales) is non-null. The stored-row axis is always the
-// non-contracted axis of the GEMM the view feeds.
-struct QView {
-  const int8_t* q = nullptr;
-  const uint16_t* b16 = nullptr;
-  const float* scales = nullptr;
-};
 
 // A kernel implementation. GEMM methods take tightly-packed row-major
 // operands (lda == k etc.); they parallelize internally over output rows via
@@ -79,21 +66,7 @@ class Backend {
                       float* col) const;
   virtual void col2im(const float* col, const ConvGeom& g, int64_t nb,
                       float* img) const;
-
-  // Quantized-weight GEMM (the serving dequant-GEMM path; see qmat.h for
-  // the layout contract): c[m,n] <- a[m,k] @ qb^T where qb is stored (n, k)
-  // with per-n scales. Same zero-filled-c contract as gemm_nt. The default
-  // dequantizes qb into pooled scratch (dequant_rows) and calls this
-  // backend's own gemm_nt -- the reference semantics a fused override must
-  // match bit-for-bit.
-  virtual void gemm_nt_q(const float* a, const QView& b, float* c, int64_t m,
-                         int64_t k, int64_t n) const;
 };
-
-// Dequantize `rows x cols` of a quantized operand into `out` (row-major
-// fp32): the one expansion loop behind every quantized forward.
-// Elementwise and row-partitioned, so bitwise-stable across PF_THREADS.
-void dequant_rows(const QView& v, int64_t rows, int64_t cols, float* out);
 
 // The active backend (resolves PF_BACKEND on first call; thread-safe).
 const Backend& active();

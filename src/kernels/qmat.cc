@@ -5,8 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "runtime/buffer_pool.h"
-#include "trace/trace.h"
+#include "runtime/thread_pool.h"
 
 namespace pf::kernels {
 
@@ -68,53 +67,36 @@ float dequant_at(const QuantizedMat& m, int64_t r, int64_t c) {
 
 namespace {
 
-void check_view(const QuantizedMat& m, const char* who) {
-  const bool i8 = m.mode == QMode::kInt8;
-  if ((i8 && (m.q.empty() || m.scales.empty())) || (!i8 && m.b16.empty()))
-    throw std::runtime_error(std::string(who) + ": malformed QuantizedMat");
+// The one expansion loop behind every quantized forward: all `rows x cols`
+// of `m` into `out` (row-major fp32).
+void dequant_rows(const QuantizedMat& m, float* out) {
+  const int64_t cols = m.cols;
+  const int64_t grain = std::max<int64_t>(1, 16384 / std::max<int64_t>(1, cols));
+  runtime::parallel_for(0, m.rows, grain, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      float* d = out + r * cols;
+      if (m.mode == QMode::kBf16) {
+        const uint16_t* src = m.b16.data() + r * cols;
+        for (int64_t c = 0; c < cols; ++c) d[c] = bf16_to_float(src[c]);
+      } else {
+        const float scale = m.scales[static_cast<size_t>(r)];
+        const int8_t* src = m.q.data() + r * cols;
+        for (int64_t c = 0; c < cols; ++c)
+          d[c] = scale * static_cast<float>(src[c]);
+      }
+    }
+  });
 }
 
 }  // namespace
 
 Tensor dequantize(const QuantizedMat& m) {
-  check_view(m, "dequantize");
+  const bool i8 = m.mode == QMode::kInt8;
+  if ((i8 && (m.q.empty() || m.scales.empty())) || (!i8 && m.b16.empty()))
+    throw std::runtime_error("dequantize: malformed QuantizedMat");
   Tensor out = Tensor::uninit(Shape{m.rows, m.cols});
-  dequant_rows(m.view(), m.rows, m.cols, out.data());
+  dequant_rows(m, out.data());
   return out;
-}
-
-Tensor qmatmul_nt(const Tensor& x, const QuantizedMat& w) {
-  if (x.dim() != 2) throw std::runtime_error("qmatmul_nt: 2-D x required");
-  if (x.size(1) != w.cols)
-    throw std::runtime_error("qmatmul_nt: x/w inner-dim mismatch");
-  check_view(w, "qmatmul_nt");
-  const int64_t m = x.size(0), k = x.size(1), n = w.rows;
-  PF_TRACE_SCOPE_C("qmatmul_nt", m * k * n);
-  Tensor y(Shape{m, n});  // zero-filled: gemm_nt_q contract
-  active().gemm_nt_q(x.data(), w.view(), y.data(), m, k, n);
-  return y;
-}
-
-Tensor qlowrank_matmul(const Tensor& x, const QuantizedMat& vt,
-                       const QuantizedMat& u) {
-  if (x.dim() != 2) throw std::runtime_error("qlowrank_matmul: 2-D x");
-  if (x.size(1) != vt.cols)
-    throw std::runtime_error("qlowrank_matmul: x/v mismatch");
-  if (u.cols != vt.rows)
-    throw std::runtime_error("qlowrank_matmul: v/u rank mismatch");
-  check_view(vt, "qlowrank_matmul");
-  check_view(u, "qlowrank_matmul");
-  const int64_t m = x.size(0), in = x.size(1), r = vt.rows, out = u.rows;
-  PF_TRACE_SCOPE_C("qlowrank", m * r * (in + out));
-  const Backend& be = active();
-  Tensor y(Shape{m, out});
-  int64_t cap = 0;
-  float* t = runtime::BufferPool::instance().acquire(m * r, &cap);
-  std::memset(t, 0, static_cast<size_t>(m * r) * sizeof(float));
-  be.gemm_nt_q(x.data(), vt.view(), t, m, in, r);
-  be.gemm_nt_q(t, u.view(), y.data(), m, r, out);
-  runtime::BufferPool::instance().release(t, cap);
-  return y;
 }
 
 }  // namespace pf::kernels

@@ -1,34 +1,27 @@
-// Quantized weight matrices for the serving path.
+// Quantized weight matrices: quantization as a storage format.
 //
 // Post-training, weights-only quantization (DESIGN.md §14): a frozen
 // engine's large weight tensors are stored either as per-row symmetric int8
 // (scale_r = max|W[r,:]| / 127, one fp32 scale per output row) or as bf16
 // (the upper 16 bits of the fp32 pattern, round-to-nearest-even). Rows are
-// always the *non-contracted* axis of the serving GEMM the matrix feeds, so
-// the per-row scale factors out of every dot product. Two ways serve the
-// whole engine zoo:
-//
-//  * gemm_nt_q (Backend): c[m,n] (+)= a[m,k] @ qb[n,k]^T -- the
-//    Linear / LowRankLinear GEMMs (W, U, and V stored transposed as
-//    (r, in)). The default dequantizes into pooled scratch
-//    and calls the backend's own float GEMM; the AVX2 backend overrides it
-//    with a fused variant that dequantizes inside the operand packing
-//    (backend_avx2.cc), bitwise identical to its own default.
-//  * dequantize-then-run: a quantized conv (dense W as (c_out, patch),
-//    low-rank U (r, patch) and V (c_out, r)) or LSTM layer dequantizes its
-//    weights once per forward and runs the fp32 layer (nn/layers.cc,
-//    nn/lstm.cc), so it is the fp32 layer on the dequantized weights, bit
-//    for bit.
+// the per-scale axis: a Linear's out, a conv's c_out (the weight unrolled
+// to (c_out, c_in*k*k)), and for a low-rank V factor the rank (V is stored
+// transposed, (r, in)). No kernel reads this format: every quantized layer
+// (nn/layers.h nn::dequantized) expands its slots with dequantize() once
+// per forward and runs the fp32 op, so it is the fp32 layer on the
+// dequantized weights, bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "kernels/kernels.h"
 #include "tensor/tensor.h"
 
 namespace pf::kernels {
+
+// Weight quantization modes.
+enum class QMode : uint8_t { kInt8 = 0, kBf16 = 1 };
 
 // One quantized 2-D weight: `rows` is the per-scale (non-contracted) axis.
 struct QuantizedMat {
@@ -40,11 +33,6 @@ struct QuantizedMat {
 
   // Resident bytes of the quantized representation (codes + scales).
   int64_t bytes() const;
-  QView view() const {
-    return QView{q.empty() ? nullptr : q.data(),
-                 b16.empty() ? nullptr : b16.data(),
-                 scales.empty() ? nullptr : scales.data()};
-  }
 };
 
 // Round a float to the nearest-even bf16 bit pattern / expand it back.
@@ -71,21 +59,10 @@ QuantizedMat quantize_rows(const float* w, int64_t rows, int64_t cols,
 QuantizedMat quantize_tensor(const Tensor& t, QMode mode);
 
 // Exact dequantized value of element (r, c) -- the per-element reference
-// the dequantizing paths must reproduce bit-for-bit.
+// dequantize must reproduce bit-for-bit.
 float dequant_at(const QuantizedMat& m, int64_t r, int64_t c);
-// Materialize the full fp32 matrix (rows, cols) in a pooled tensor
-// (dequant_rows: parallel over rows).
+// Materialize the full fp32 matrix (rows, cols) in a pooled tensor. Parallel
+// over rows and elementwise, so bitwise-stable across PF_THREADS.
 Tensor dequantize(const QuantizedMat& m);
-
-// ---- Tensor-level quantized forwards (serving fast paths) ----
-
-// y[m, rows] = x[m, k] @ W^T with W quantized as (rows, k).
-Tensor qmatmul_nt(const Tensor& x, const QuantizedMat& w);
-
-// Fused low-rank forward with both factors quantized: vt is V^T stored
-// (r, in) with per-r scales, u is U stored (out, r) with per-out scales.
-// y = (x @ vt^T) @ u^T, one pooled (m, r) scratch between the two GEMMs.
-Tensor qlowrank_matmul(const Tensor& x, const QuantizedMat& vt,
-                       const QuantizedMat& u);
 
 }  // namespace pf::kernels

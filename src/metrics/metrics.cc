@@ -195,10 +195,6 @@ std::string fmt_alloc_stats(const AllocStats& s) {
   return os.str();
 }
 
-fault::FaultStats fault_stats() { return fault::stats(); }
-
-void reset_fault_stats() { fault::reset_stats(); }
-
 std::string fmt_fault_stats(const fault::FaultStats& s) {
   std::ostringstream os;
   os << "kills " << fmt_int(static_cast<int64_t>(s.injected_kills))

@@ -83,12 +83,8 @@ void reset_alloc_stats(bool clear_pool = false);
 std::string fmt_alloc_stats(const AllocStats& s);
 
 // ---- Fault-injection observability (src/fault). ----
-// Re-export of fault::stats() so benches and reports depend on metrics
-// only, mirroring the AllocStats pattern above.
-fault::FaultStats fault_stats();
-void reset_fault_stats();
-// "kills 2 / delays 1 / drops 17 / write-crashes 0 | retries 19,
-//  recoveries 19".
+// One-line form of fault::stats(): "kills 2 / delays 1 / drops 17 /
+// write-crashes 0 | retries 19, recoveries 19".
 std::string fmt_fault_stats(const fault::FaultStats& s);
 
 }  // namespace pf::metrics

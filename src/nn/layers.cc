@@ -8,28 +8,20 @@
 
 namespace pf::nn {
 
-namespace {
-
-// Quantized layers are a serving construct: their fp32 weights may already
-// be released (quant::commit), so a taped forward has nothing to train.
-void check_quantized_eval_only(const char* layer) {
+ag::Var dequantized(const char* layer, const QWeight& q, bool transpose,
+                    Shape shape) {
   if (ag::grad_enabled())
     throw std::runtime_error(std::string(layer) +
                              ": quantized weights are eval-only (tape-free "
                              "forwards); dequantize before training");
+  Tensor w = kernels::dequantize(*q);
+  if (transpose) return ag::leaf(w.t());
+  if (shape.empty()) return ag::leaf(std::move(w));
+  if (shape[0] != q->rows)
+    throw std::runtime_error(std::string(layer) +
+                             ": quantized weight rows mismatch");
+  return ag::leaf(w.reshape(std::move(shape)));
 }
-
-// A quantized conv slot as the fp32 weight it stands for: dequantized once
-// per forward into a pooled tensor and viewed as the 4-D conv weight, so a
-// quantized conv is the fp32 conv on the dequantized weight, bit for bit.
-ag::Var dequantized_conv_weight(const kernels::QuantizedMat& q,
-                                Shape shape) {
-  if (q.rows != shape[0])
-    throw std::runtime_error("quantized conv: weight rows mismatch");
-  return ag::leaf(kernels::dequantize(q).reshape(std::move(shape)));
-}
-
-}  // namespace
 
 Linear::Linear(int64_t in, int64_t out, Rng& rng, bool with_bias)
     : in_(in), out_(out) {
@@ -42,13 +34,8 @@ Linear::Linear(int64_t in, int64_t out, Rng& rng, bool with_bias)
 }
 
 ag::Var Linear::forward(const ag::Var& x) {
-  if (qweight) {
-    check_quantized_eval_only("Linear");
-    ag::Var y = ag::leaf(kernels::qmatmul_nt(x->value, *qweight));
-    if (bias) y = ag::add(y, bias);
-    return y;
-  }
-  ag::Var y = ag::matmul_nt(x, weight);  // (N, in) x (out, in)^T
+  const ag::Var w = qweight ? dequantized("Linear", qweight) : weight;
+  ag::Var y = ag::matmul_nt(x, w);  // (N, in) x (out, in)^T
   if (bias) y = ag::add(y, bias);
   return y;
 }
@@ -70,16 +57,13 @@ LowRankLinear::LowRankLinear(int64_t in, int64_t out, int64_t rank, Rng& rng,
 }
 
 ag::Var LowRankLinear::forward(const ag::Var& x) {
-  if (qu) {
-    check_quantized_eval_only("LowRankLinear");
-    ag::Var y = ag::leaf(kernels::qlowrank_matmul(x->value, *qvt, *qu));
-    if (bias) y = ag::add(y, bias);
-    return y;
-  }
   // Fused (x @ v) @ u^T: one kernel launch; when taped it materializes the
   // (N, r) intermediate for the backward pass, when not (eval / frozen
   // serve) the intermediate stays a per-row-block scratch buffer.
-  ag::Var y = ag::lowrank_linear(x, v, u);
+  ag::Var y =
+      qu ? ag::lowrank_linear(x, dequantized("LowRankLinear", qvt, true),
+                              dequantized("LowRankLinear", qu))
+         : ag::lowrank_linear(x, v, u);
   if (bias) y = ag::add(y, bias);
   return y;
 }
@@ -92,13 +76,11 @@ Conv2d::Conv2d(int64_t c_in, int64_t c_out, int64_t kernel, int64_t stride,
 }
 
 ag::Var Conv2d::forward(const ag::Var& x) {
-  if (qweight) {
-    check_quantized_eval_only("Conv2d");
-    const Shape shape{c_out_, c_in_, kernel_, kernel_};
-    return ag::conv2d(x, dequantized_conv_weight(*qweight, shape), stride_,
-                      pad_);
-  }
-  return ag::conv2d(x, weight, stride_, pad_);
+  const ag::Var w =
+      qweight ? dequantized("Conv2d", qweight, false,
+                            Shape{c_out_, c_in_, kernel_, kernel_})
+              : weight;
+  return ag::conv2d(x, w, stride_, pad_);
 }
 
 LowRankConv2d::LowRankConv2d(int64_t c_in, int64_t c_out, int64_t kernel,
@@ -120,11 +102,13 @@ ag::Var LowRankConv2d::forward(const ag::Var& x) {
   // One node for training, eval, serving and quantized eval (a quantized
   // slot runs it on its dequantized factors): see ag::lowrank_conv2d.
   if (!qu) return ag::lowrank_conv2d(x, u, v, stride_, pad_);
-  check_quantized_eval_only("LowRankConv2d");
   const int64_t r = qu->rows;
   return ag::lowrank_conv2d(
-      x, dequantized_conv_weight(*qu, Shape{r, c_in_, kernel_, kernel_}),
-      dequantized_conv_weight(*qv, Shape{c_out_, r, 1, 1}), stride_, pad_);
+      x,
+      dequantized("LowRankConv2d", qu, false,
+                  Shape{r, c_in_, kernel_, kernel_}),
+      dequantized("LowRankConv2d", qv, false, Shape{c_out_, r, 1, 1}),
+      stride_, pad_);
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)

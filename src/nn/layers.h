@@ -19,12 +19,21 @@ namespace pf::nn {
 
 // Quantized-weight slot (DESIGN.md §14). When quant::quantize_module sets a
 // layer's slot(s), tape-free forwards (eval / frozen serve) run on the
-// slots instead of the fp32 params -- Linear-shaped layers through the
-// dequant-GEMM kernels, convs as the fp32 conv on the dequantized weight;
-// after quant::commit the fp32 weight tensors are released entirely.
-// Quantized layers are serving-only: forward throws if called with
-// gradients enabled.
+// slots instead of the fp32 params; after quant::commit the fp32 weight
+// tensors are released entirely. Quantized layers are serving-only: forward
+// throws if called with gradients enabled.
 using QWeight = std::shared_ptr<const kernels::QuantizedMat>;
+
+// The one quantized forward: a slot as the fp32 weight it stands for,
+// dequantized once per forward into a pooled tensor and wrapped as a
+// constant leaf, which the layer feeds to its fp32 op -- so every quantized
+// layer (Linear, LowRankLinear, the convs and the LSTMs) is the fp32 layer
+// on the dequantized weights, bit for bit. `transpose` turns a V^T slot
+// (r, in) back into the (in, r) factor; a non-empty `shape` views the
+// (rows, cols) matrix as the weight's own shape (a conv's 4-D weight).
+// Throws, naming `layer`, when gradients are enabled.
+ag::Var dequantized(const char* layer, const QWeight& q, bool transpose = false,
+                    Shape shape = {});
 
 class Linear : public UnaryModule {
  public:
@@ -118,6 +127,7 @@ class BatchNorm2d : public UnaryModule {
   ag::Var forward(const ag::Var& x) override;
 
   int64_t channels() const { return channels_; }
+  float momentum() const { return momentum_; }
   ag::Var gamma, beta;
   Tensor* running_mean;
   Tensor* running_var;

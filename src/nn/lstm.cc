@@ -10,20 +10,6 @@ namespace pf::nn {
 
 namespace {
 
-void check_lstm_quantized_eval_only(const char* layer) {
-  if (ag::grad_enabled())
-    throw std::runtime_error(std::string(layer) +
-                             ": quantized weights are eval-only (tape-free "
-                             "forwards); dequantize before training");
-}
-
-// A quantized weight's fp32 value as a constant leaf; `transpose` turns a
-// V^T slot (r, in) back into the (in, r) factor layout.
-ag::Var dequantized(const QWeight& q, bool transpose = false) {
-  Tensor w = kernels::dequantize(*q);
-  return ag::leaf(transpose ? w.t() : std::move(w));
-}
-
 std::pair<ag::Var, ag::Var> initial_state(const LstmState* state, int64_t b,
                                           int64_t h) {
   auto zeros = [&] { return ag::leaf(Tensor::zeros(Shape{b, h})); };
@@ -60,9 +46,8 @@ ag::Var LSTMLayer::forward(const ag::Var& x, LstmState* state) {
   auto [h0, c0] = initial_state(state, b, h_);
   ag::Var wi = w_ih, wh = w_hh;
   if (q_wih) {
-    check_lstm_quantized_eval_only("LSTMLayer");
-    wi = dequantized(q_wih);
-    wh = dequantized(q_whh);
+    wi = dequantized("LSTMLayer", q_wih);
+    wh = dequantized("LSTMLayer", q_whh);
   }
   ag::Var xproj = ag::add(
       ag::matmul_nt(ag::reshape(x, Shape{t_len * b, d_}), wi), bias);
@@ -100,12 +85,12 @@ ag::Var LowRankLSTMLayer::forward(const ag::Var& x, LstmState* state) {
   auto [h0, c0] = initial_state(state, b, h_);
   std::array<ag::Var, 4> ui = u_ih, vi = v_ih, uh = u_hh, vh = v_hh;
   if (q_u_ih[0]) {
-    check_lstm_quantized_eval_only("LowRankLSTMLayer");
+    const char* layer = "LowRankLSTMLayer";
     for (size_t g = 0; g < 4; ++g) {
-      ui[g] = dequantized(q_u_ih[g]);
-      vi[g] = dequantized(q_vt_ih[g], /*transpose=*/true);
-      uh[g] = dequantized(q_u_hh[g]);
-      vh[g] = dequantized(q_vt_hh[g], /*transpose=*/true);
+      ui[g] = dequantized(layer, q_u_ih[g]);
+      vi[g] = dequantized(layer, q_vt_ih[g], /*transpose=*/true);
+      uh[g] = dequantized(layer, q_u_hh[g]);
+      vh[g] = dequantized(layer, q_vt_hh[g], /*transpose=*/true);
     }
   }
   const ag::Var x2 = ag::reshape(x, Shape{t_len * b, d_});

@@ -61,20 +61,13 @@ uint64_t checkpoint_hash(Module& module) {
   return h;
 }
 
-void save_checkpoint(Module& module, const std::string& path, int version) {
-  if (version != 0 && version != 1)
-    throw std::runtime_error("checkpoint: unknown format version " +
-                             std::to_string(version));
+void save_checkpoint(Module& module, const std::string& path) {
   const std::vector<Tensor*> tensors = checkpoint_tensors(module);
   io::ByteWriter w;
-  if (version == 0) w.u64(kCheckpointMagicV0);
   w.u64(tensors.size());
   for (Tensor* t : tensors) w.tensor(*t);
-  if (version == 0)
-    io::write_file(path, w.data());
-  else
-    io::write_envelope(path, kCheckpointMagicV1, {kCheckpointVersion},
-                       w.data());
+  io::write_envelope(path, kCheckpointMagicV1, {kCheckpointVersion},
+                     w.data());
 }
 
 void load_checkpoint(Module& module, const std::string& path,
@@ -82,9 +75,6 @@ void load_checkpoint(Module& module, const std::string& path,
   const std::vector<Tensor*> tensors = checkpoint_tensors(module);
   const std::string what = "checkpoint " + path;
   const std::vector<char> file = io::read_file(path, what);
-  io::ByteReader legacy(file.data(), file.size(), what);
-  if (legacy.u64() == kCheckpointMagicV0)
-    return decode(legacy, tensors, verify);
   io::Envelope env =
       io::read_envelope(file, {kCheckpointMagicV1}, {kCheckpointVersion}, what);
   decode(env.payload, tensors, verify);

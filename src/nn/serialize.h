@@ -5,9 +5,8 @@
 //
 // Payload: count u64 | per tensor (checkpoint_tensors order):
 //   rank u64 | dims u64... | float data
-//   v1 ("PUFFCKP2", what save_checkpoint writes): the payload in
-//     io/artifact.h's checksummed envelope, header byte {1}.
-//   v0 ("PUFFCKP1"): magic | payload, unframed (legacy, still read).
+// framed in io/artifact.h's checksummed envelope ("PUFFCKP2", header byte
+// {1}). The unframed v0 format ("PUFFCKP1") is retired: loading one throws.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +19,7 @@
 
 namespace pf::nn {
 
-// On-disk magics (exposed so tests can craft version-0 files).
-inline constexpr uint64_t kCheckpointMagicV0 = 0x50554646434B5031ull;
+// On-disk magic and format version byte.
 inline constexpr uint64_t kCheckpointMagicV1 = 0x50554646434B5032ull;
 inline constexpr uint8_t kCheckpointVersion = 1;
 
@@ -30,17 +28,15 @@ inline constexpr uint8_t kCheckpointVersion = 1;
 std::vector<Tensor*> checkpoint_tensors(Module& module);
 
 // Writes every parameter and buffer (checkpoint_tensors order) to `path`.
-// `version` selects the on-disk format (1 = checksummed, 0 = legacy).
-// Throws std::runtime_error on I/O failure or unknown version.
-void save_checkpoint(Module& module, const std::string& path,
-                     int version = kCheckpointVersion);
+// Throws std::runtime_error on I/O failure.
+void save_checkpoint(Module& module, const std::string& path);
 
 // Chained FNV-1a over every checkpoint tensor's float bytes
 // (checkpoint_tensors order, tensor boundaries counted): the content hash
 // training snapshots stamp to detect a torn weights/state pair.
 uint64_t checkpoint_hash(Module& module);
 
-// Loads a checkpoint written by save_checkpoint (either version) into a
+// Loads a checkpoint written by save_checkpoint into a
 // structurally identical module tree. Throws std::runtime_error on I/O
 // failure, magic / version / checksum / shape / count mismatch; the module
 // is only written once the whole file has been validated against it.
@@ -48,9 +44,5 @@ uint64_t checkpoint_hash(Module& module);
 // with the file's checkpoint_hash; if it throws, the module is untouched.
 void load_checkpoint(Module& module, const std::string& path,
                      const std::function<void(uint64_t)>& verify = {});
-
-// Older spellings of the io/artifact.h helpers.
-using io::atomic_write;
-using io::fnv1a;
 
 }  // namespace pf::nn

@@ -98,6 +98,55 @@ void ring_reduce_pass(int w, int n_active, int64_t total_params,
   barrier.wait();
 }
 
+// Every nn::checkpoint_tensors entry (params and BN buffers) of replica 0
+// copied into the others, so all replicas hold the same full state.
+void broadcast_state(std::vector<std::unique_ptr<nn::UnaryModule>>& replicas) {
+  const std::vector<Tensor*> src = nn::checkpoint_tensors(*replicas[0]);
+  for (size_t w = 1; w < replicas.size(); ++w) {
+    const std::vector<Tensor*> dst = nn::checkpoint_tensors(*replicas[w]);
+    for (size_t i = 0; i < dst.size(); ++i)
+      std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(),
+                  static_cast<size_t>(dst[i]->numel()) * sizeof(float));
+  }
+}
+
+// One active lane's BatchNorm running statistics: (momentum, buffer) in
+// module order, and the values they held when the step began.
+struct LaneBn {
+  std::vector<std::pair<float, Tensor*>> bufs;
+  std::vector<std::vector<float>> prev;
+};
+
+void collect_bn(nn::Module& m, LaneBn& out) {
+  if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
+    out.bufs.push_back({bn->momentum(), bn->running_mean});
+    out.bufs.push_back({bn->momentum(), bn->running_var});
+  }
+  for (nn::Module* c : m.children()) collect_bn(*c, out);
+}
+
+// Gives every lane's replica the running statistics one model would hold
+// after seeing the step's shards (lanes [0, n_active)) in ascending lane
+// order: each lane's own update a*prev + m*mean is recovered as
+// cur - a*prev and replayed from lane 0's starting value. Buffers then
+// agree across replicas as params do, with one update per shard -- the
+// single-process micro-batch semantics -- rather than one per step.
+void compose_bn(std::vector<LaneBn>& lanes, int n_active) {
+  for (size_t b = 0; b < lanes[0].bufs.size(); ++b) {
+    const float a = 1.0f - lanes[0].bufs[b].first;
+    for (int64_t i = 0; i < lanes[0].bufs[b].second->numel(); ++i) {
+      const size_t k = static_cast<size_t>(i);
+      float r = lanes[0].prev[b][k];
+      for (int j = 0; j < n_active; ++j) {
+        const LaneBn& l = lanes[static_cast<size_t>(j)];
+        r = a * r + (std::as_const(*l.bufs[b].second).data()[i] -
+                     a * l.prev[b][k]);
+      }
+      for (LaneBn& l : lanes) l.bufs[b].second->data()[i] = r;
+    }
+  }
+}
+
 }  // namespace
 
 double timed_ring_allreduce(int workers, int64_t elems, int64_t bucket_bytes,
@@ -205,14 +254,8 @@ void ShmDataParallelTrainer::replace_model(
     // replicas first take the canonical's ranks.
     transfer(*replicas_[0], *next[0]);
     const std::vector<int64_t> ranks = core::collect_ranks(*next[0]);
-    const std::vector<Tensor*> src = nn::checkpoint_tensors(*next[0]);
-    for (size_t w = 1; w < next.size(); ++w) {
-      core::apply_ranks(*next[w], ranks);
-      const std::vector<Tensor*> dst = nn::checkpoint_tensors(*next[w]);
-      for (size_t i = 0; i < dst.size(); ++i)
-        std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(),
-                    static_cast<size_t>(dst[i]->numel()) * sizeof(float));
-    }
+    for (size_t w = 1; w < next.size(); ++w) core::apply_ranks(*next[w], ranks);
+    broadcast_state(next);
   }
   replicas_ = std::move(next);
   opts_.clear();
@@ -301,6 +344,13 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
   dist::EpochBreakdown priced;
   int64_t steps = 0;
   Barrier barrier(lanes);
+  // BN running statistics are composed across lanes after every step
+  // (compose_bn). Train-mode forwards never read them, so train losses do
+  // not change, and they are not part of the gradient payload priced below.
+  std::vector<LaneBn> bn(static_cast<size_t>(lanes));
+  for (int lane = 0; lane < lanes; ++lane)
+    collect_bn(*replicas_[static_cast<size_t>(active[static_cast<size_t>(lane)])],
+               bn[static_cast<size_t>(lane)]);
 
   auto worker_fn = [&](int lane) {
     const int w = active[static_cast<size_t>(lane)];
@@ -392,6 +442,12 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
       const int64_t bsz = gb.images.size(0);
       const int n_active = static_cast<int>(std::min<int64_t>(lanes, bsz));
 
+      LaneBn& own_bn = bn[static_cast<size_t>(lane)];
+      own_bn.prev.clear();
+      for (const auto& mb : own_bn.bufs) {
+        const float* v = std::as_const(*mb.second).data();
+        own_bn.prev.emplace_back(v, v + mb.second->numel());
+      }
       metrics::Timer t_compute;
       const double cpu_compute0 = thread_cpu_seconds();
       const dist::ShardRange sr = dist::shard_range(bsz, lanes, lane);
@@ -464,7 +520,11 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
               dist::Coll::kAllreduce, bytes_per_worker, lanes, kPaperCluster);
         cumulative_bytes_ += bytes_per_worker;
       }
-      // Keeps arena and agg stable until every worker has stepped.
+      // Keeps arena and agg stable until every worker has stepped; the
+      // second rendezvous keeps every replica out of its next forward
+      // until lane 0 has composed the BN statistics.
+      barrier.wait();
+      if (lane == 0) compose_bn(bn, n_active);
       barrier.wait();
     }
   };
@@ -565,14 +625,12 @@ int ShmDataParallelTrainer::resume() {
         " worker slots -- a snapshot survives any membership change within "
         "its slot universe, but resuming under a different universe is "
         "rejected; resume with the slot count that wrote the snapshot");
-  // Broadcast restored weights and optimizer state to every replica: the
-  // invariant that active replicas are bitwise-identical at step boundaries
-  // must hold from the very first resumed step, and slots inactive at the
-  // snapshot round are re-bootstrapped by the membership layer on join
-  // anyway, so overwriting their (stale) state is harmless.
-  const Tensor flat = replicas_[0]->flat_params();
-  for (int w = 1; w < cfg_.workers; ++w)
-    replicas_[static_cast<size_t>(w)]->set_flat_params(flat);
+  // Broadcast restored weights, BN buffers and optimizer state to every
+  // replica: the invariant that active replicas are bitwise-identical at
+  // step boundaries must hold from the very first resumed step, and slots
+  // inactive at the snapshot round are re-bootstrapped by the membership
+  // layer on join anyway, so overwriting their (stale) state is harmless.
+  broadcast_state(replicas_);
   for (auto& o : opts_) core::restore_optimizer(*o, st);
   if (reducer_)
     reducer_->set_state(st.reducer);

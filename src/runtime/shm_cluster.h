@@ -21,6 +21,12 @@
 //    `compress::Reducer` over all shards, so stateful reducers see every
 //    worker's gradient in one place.
 //
+// BN running statistics follow the same single-model view: each replica
+// updates them from its own shard, then after every step lane 0 replays the
+// lanes' updates in ascending lane order and writes the result to every
+// active replica, so buffers are the ones one model would hold after the
+// step's shards as micro-batches, equal on every replica.
+//
 // Every epoch record carries two views of the same epoch (dist/cluster.h):
 // `breakdown` is MEASURED wall-clock on this host, and `priced` is the
 // paper-cluster view -- each step's real payload bytes priced through

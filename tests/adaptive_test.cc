@@ -771,26 +771,29 @@ std::string write_v1_state(uint64_t kind_word, const std::string& name) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   write_u64(0x5055464654535431ull);  // "PUFFTST1"
-  write_u64(nn::fnv1a(payload.data(), payload.size()));
+  write_u64(io::fnv1a(payload.data(), payload.size()));
   write_u64(payload.size());
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   return path;
 }
 
-TEST(AdaptiveState, V1SnapshotsStillLoad) {
+TEST(AdaptiveState, V1SnapshotsAreRejected) {
+  // The v1 format is retired: even a well-formed v1 file throws, naming
+  // its magic, instead of loading.
   const std::string path = write_v1_state(0, "adaptive_state_v1_ok.bin");
-  const core::TrainState st = core::load_train_state(path);
-  EXPECT_EQ(st.next_epoch, 2);
-  EXPECT_EQ(st.global_step, 9);
-  EXPECT_TRUE(RankPolicy::decode(st.policy) == RankPolicy::fixed(0.25));
-  EXPECT_TRUE(st.layer_ranks.empty());
-  EXPECT_TRUE(st.reducer.empty());
+  try {
+    (void)core::load_train_state(path);
+    ADD_FAILURE() << "a v1 snapshot loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"PUFFTST1\""), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
 TEST(AdaptiveState, V1SnapshotWithNewKindIsRejected) {
   // Kind words >= 2 (variance-gated, ab-reproject) postdate the v1 writer:
-  // a v1 file carrying one is corrupt, not merely old.
+  // a v1 file carrying one is corrupt as well as retired.
   const std::string path = write_v1_state(2, "adaptive_state_v1_bad.bin");
   EXPECT_THROW((void)core::load_train_state(path), std::runtime_error);
   std::remove(path.c_str());

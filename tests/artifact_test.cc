@@ -1,6 +1,6 @@
 // On-disk artifact guarantees, for every artifact kind the library writes or
-// reads: v1 and v0 weight checkpoints, TrainState v2 and (hand-built) v1,
-// int8 and bf16 quantized checkpoints, and delta artifacts.
+// reads: weight checkpoints, TrainState v2, int8 and bf16 quantized
+// checkpoints, and delta artifacts.
 //
 //   CheckpointFormat.*       the writers' bytes are pinned: each kind is
 //                            written from exact weights and its FNV-1a
@@ -138,7 +138,7 @@ core::TrainState tiny_state() {
   st.low_rank_phase = true;
   st.svd_seconds = 0.5;
   st.cumulative_seconds = 2.25;
-  st.policy = {1, 0x3FD0000000000000ull, 2, 0};  // kind word < 2: v1-legal
+  st.policy = {1, 0x3FD0000000000000ull, 2, 0};
   st.model_hash = 0x0123456789ABCDEFull;
   st.rng = {{1, 2, 3, 4}, true, 0.75};
   st.worker_rngs = {{{5, 6, 7, 8}, false, 0.0}, {{9, 10, 11, 12}, true, -1.5}};
@@ -149,47 +149,6 @@ core::TrainState tiny_state() {
   st.reducer.scalars = {5};
   st.reducer.tensors.push_back(pattern_tensor(Shape{3, 2}, 3));
   return st;
-}
-
-// TrainState v1 ("PUFFTST1") as older builds wrote it: 3 policy words and
-// no layer_ranks / reducer tail. No writer for it remains in the library.
-Bytes encode_state_v1(const core::TrainState& st) {
-  Bytes p;
-  auto put_f64 = [&p](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    append_u64(p, bits);
-  };
-  auto put_rng = [&](const Rng::State& r) {
-    for (uint64_t w : r.s) append_u64(p, w);
-    append_u64(p, r.has_cached ? 1 : 0);
-    put_f64(r.cached);
-  };
-  append_u64(p, static_cast<uint64_t>(st.next_epoch));
-  append_u64(p, static_cast<uint64_t>(st.global_step));
-  append_u64(p, st.low_rank_phase ? 1 : 0);
-  put_f64(st.svd_seconds);
-  put_f64(st.cumulative_seconds);
-  for (size_t i = 0; i < 3; ++i) append_u64(p, st.policy[i]);
-  append_u64(p, st.model_hash);
-  put_rng(st.rng);
-  append_u64(p, st.worker_rngs.size());
-  for (const Rng::State& r : st.worker_rngs) put_rng(r);
-  append_u64(p, st.opt_scalars.size());
-  for (int64_t s : st.opt_scalars) append_u64(p, static_cast<uint64_t>(s));
-  append_u64(p, st.opt_tensors.size());
-  for (const Tensor& t : st.opt_tensors) {
-    append_u64(p, static_cast<uint64_t>(t.dim()));
-    for (int64_t d : t.shape()) append_u64(p, static_cast<uint64_t>(d));
-    const char* data = reinterpret_cast<const char*>(t.data());
-    p.insert(p.end(), data, data + t.numel() * sizeof(float));
-  }
-  Bytes file;
-  append_u64(file, 0x5055464654535431ull);  // "PUFFTST1"
-  append_u64(file, nn::fnv1a(p.data(), p.size()));
-  append_u64(file, p.size());
-  file.insert(file.end(), p.begin(), p.end());
-  return file;
 }
 
 quant::DeltaModel tiny_delta() {
@@ -207,18 +166,15 @@ quant::DeltaModel tiny_delta() {
   return d;
 }
 
-enum class Kind { kCkptV1, kCkptV0, kStateV2, kStateV1, kInt8, kBf16, kDelta };
+enum class Kind { kCkptV1, kStateV2, kInt8, kBf16, kDelta };
 
-constexpr Kind kAllKinds[] = {Kind::kCkptV1,  Kind::kCkptV0, Kind::kStateV2,
-                              Kind::kStateV1, Kind::kInt8,   Kind::kBf16,
-                              Kind::kDelta};
+constexpr Kind kAllKinds[] = {Kind::kCkptV1, Kind::kStateV2, Kind::kInt8,
+                              Kind::kBf16, Kind::kDelta};
 
 const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kCkptV1: return "ckpt_v1";
-    case Kind::kCkptV0: return "ckpt_v0";
     case Kind::kStateV2: return "state_v2";
-    case Kind::kStateV1: return "state_v1";
     case Kind::kInt8: return "int8";
     case Kind::kBf16: return "bf16";
     case Kind::kDelta: return "delta";
@@ -227,13 +183,11 @@ const char* kind_name(Kind k) {
 }
 
 // Offset of the payload checksum (the length follows it, then the
-// payload); 0 for the unchecksummed v0 checkpoint.
+// payload).
 size_t checksum_offset(Kind k) {
   switch (k) {
-    case Kind::kCkptV0: return 0;
     case Kind::kCkptV1: return 9;  // magic | version
-    case Kind::kStateV2:
-    case Kind::kStateV1: return 8;  // magic
+    case Kind::kStateV2: return 8;  // magic
     case Kind::kInt8:
     case Kind::kBf16:
     case Kind::kDelta: return 10;  // magic | version | kind
@@ -258,9 +212,7 @@ void write_kind(Kind k, nn::Module* m, const core::TrainState* st,
                 const quant::DeltaModel* d, const std::string& path) {
   switch (k) {
     case Kind::kCkptV1: nn::save_checkpoint(*m, path); break;
-    case Kind::kCkptV0: nn::save_checkpoint(*m, path, 0); break;
     case Kind::kStateV2: core::save_train_state(*st, path); break;
-    case Kind::kStateV1: write_file(path, encode_state_v1(*st)); break;
     case Kind::kInt8:
     case Kind::kBf16: quant::save_quantized(*m, path); break;
     case Kind::kDelta: quant::save_delta(*d, path); break;
@@ -294,7 +246,6 @@ class Loader {
   Bytes operator()(const std::string& path) {
     switch (k_) {
       case Kind::kCkptV1:
-      case Kind::kCkptV0:
       case Kind::kInt8:
       case Kind::kBf16: {
         if (!net_) {
@@ -315,8 +266,7 @@ class Loader {
         net_.reset();
         break;
       }
-      case Kind::kStateV2:
-      case Kind::kStateV1: {
+      case Kind::kStateV2: {
         const core::TrainState st = core::load_train_state(path);
         write_kind(k_, nullptr, &st, nullptr, out_);
         break;
@@ -347,16 +297,14 @@ TEST(CheckpointFormat, WritersEmitRecordedBytes) {
   // longer load, or new files would not load in old builds.
   const std::pair<Kind, uint64_t> expected[] = {
       {Kind::kCkptV1, 44460222534434392ull},
-      {Kind::kCkptV0, 8978329720841341708ull},
       {Kind::kStateV2, 2377966107174230933ull},
-      {Kind::kStateV1, 944518915565681406ull},
       {Kind::kInt8, 14905352485851329462ull},
       {Kind::kBf16, 11872712668929809920ull},
       {Kind::kDelta, 11351027204438452011ull},
   };
   for (const auto& [k, hash] : expected) {
     const Bytes b = make_artifact(k);
-    EXPECT_EQ(nn::fnv1a(b.data(), b.size()), hash)
+    EXPECT_EQ(io::fnv1a(b.data(), b.size()), hash)
         << kind_name(k) << " (" << b.size() << " bytes)";
   }
 }
@@ -381,7 +329,7 @@ void lie(Kind k, Bytes& b, size_t off, uint64_t v, bool fresh) {
   if (!fresh) return;
   const size_t payload = checksum_offset(k) + 16;
   set_u64(b, checksum_offset(k),
-          nn::fnv1a(b.data() + payload, b.size() - payload));
+          io::fnv1a(b.data() + payload, b.size() - payload));
 }
 
 void expect_runtime_error(Kind k, const Bytes& b, const char* what) {
@@ -421,12 +369,6 @@ TEST(CheckpointTotality, LyingFieldsThrowRuntimeError) {
     Bytes b = make_artifact(Kind::kCkptV1);
     lie(Kind::kCkptV1, b, 17, kHugeLength, false);
     expect_runtime_error(Kind::kCkptV1, b, "PUFFCKP2 length 2^63-1");
-  }
-  {
-    Bytes b = make_artifact(Kind::kCkptV0);
-    ASSERT_EQ(get_u64(b, 16), 4u);  // magic | count | first tensor's rank
-    lie(Kind::kCkptV0, b, 16, 1ull << 61, false);
-    expect_runtime_error(Kind::kCkptV0, b, "v0 rank 2^61");
   }
   {
     Bytes b = make_artifact(Kind::kInt8);
@@ -477,8 +419,7 @@ void fuzz(Kind k, uint64_t seed) {
   const std::string path = tmp_path(std::string("artifact_fuzz_") +
                                     kind_name(k));
   const size_t cks = checksum_offset(k);
-  const bool checksummed = k != Kind::kCkptV0;
-  const size_t body = checksummed ? cks + 16 : 8;
+  const size_t body = cks + 16;
   Loader load(k, path + ".re");
   int64_t runs = 0, loaded = 0, failures = 0;
   write_file(path, ref);
@@ -493,7 +434,7 @@ void fuzz(Kind k, uint64_t seed) {
       const Bytes re = load(path);
       ++loaded;
       if (re != m) err = "loaded state does not re-encode to the file";
-      else if (checksummed && stale && m != ref)
+      else if (stale && m != ref)
         err = "stale checksum accepted";
     } catch (const std::runtime_error&) {
       return;
@@ -521,21 +462,20 @@ void fuzz(Kind k, uint64_t seed) {
     const uint64_t orig = get_u64(ref, off);
     for (uint64_t v : lies) {
       Bytes m = ref;
-      lie(k, m, off, v, checksummed);
+      lie(k, m, off, v, true);
       run(m, false, "offset / u64 lie", off, v);
     }
     for (uint64_t v : {orig + 1, orig - 1}) {
       Bytes m = ref;
-      lie(k, m, off, v, checksummed);
+      lie(k, m, off, v, true);
       run(m, false, "offset / u64 lie", off, v);
     }
   }
-  if (checksummed)
-    for (uint64_t v : lies) {
-      Bytes m = ref;
-      lie(k, m, cks + 8, v, false);
-      run(m, true, "length lie", v);
-    }
+  for (uint64_t v : lies) {
+    Bytes m = ref;
+    lie(k, m, cks + 8, v, false);
+    run(m, true, "length lie", v);
+  }
 
   // Seeded bit flips, half with the checksum recomputed.
   std::mt19937_64 rng(seed);
@@ -546,7 +486,7 @@ void fuzz(Kind k, uint64_t seed) {
       const size_t bit = rng() % (m.size() * 8);
       m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
     }
-    const bool fresh = checksummed && (rng() & 1);
+    const bool fresh = (rng() & 1) != 0;
     if (fresh) lie(k, m, cks, 0, true);
     run(m, !fresh, "bit flips / run", static_cast<uint64_t>(flips),
         static_cast<uint64_t>(runs));
@@ -558,9 +498,7 @@ void fuzz(Kind k, uint64_t seed) {
 }
 
 TEST(ArtifactFuzz, CheckpointV1) { fuzz(Kind::kCkptV1, 1); }
-TEST(ArtifactFuzz, CheckpointV0) { fuzz(Kind::kCkptV0, 2); }
 TEST(ArtifactFuzz, TrainStateV2) { fuzz(Kind::kStateV2, 3); }
-TEST(ArtifactFuzz, TrainStateV1) { fuzz(Kind::kStateV1, 4); }
 TEST(ArtifactFuzz, QuantizedInt8) { fuzz(Kind::kInt8, 5); }
 TEST(ArtifactFuzz, QuantizedBf16) { fuzz(Kind::kBf16, 6); }
 TEST(ArtifactFuzz, Delta) { fuzz(Kind::kDelta, 7); }

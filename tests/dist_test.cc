@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "models/resnet.h"
 #include "runtime/shm_cluster.h"
 
@@ -149,17 +151,31 @@ TEST(DataParallel, AllreduceMatchesSingleNodeLargeBatch) {
 }
 
 TEST(DataParallel, TrainsToAboveChance) {
+  // Two steps an epoch on 32 images is a noisy run, so this is a sweep over
+  // executor seeds: at least 6 of 8 must end above chance (0.25) with a
+  // falling train loss. Eval reads the BN running statistics, so this also
+  // checks that replicas compose them as one model seeing every shard.
   auto ds = tiny_data();
-  DistTrainConfig cfg;
-  cfg.epochs = 6;
-  cfg.global_batch = 16;
-  cfg.lr = 0.05f;
-  auto t = cluster(tiny_resnet(false),
-                   std::make_unique<compress::AllreduceReducer>(),
-                   /*workers=*/4, cfg);
-  auto recs = t.train(ds);
-  EXPECT_GT(recs.back().test_acc, 0.3);  // chance = 0.25
-  EXPECT_LT(recs.back().train_loss, recs.front().train_loss);
+  int passed = 0;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    DistTrainConfig cfg;
+    cfg.epochs = 6;
+    cfg.global_batch = 16;
+    cfg.lr = 0.05f;
+    cfg.seed = seed;
+    auto t = cluster(tiny_resnet(false),
+                     std::make_unique<compress::AllreduceReducer>(),
+                     /*workers=*/4, cfg);
+    auto recs = t.train(ds);
+    const bool ok = recs.back().test_acc > 0.3 &&
+                    recs.back().train_loss < recs.front().train_loss;
+    passed += ok ? 1 : 0;
+    std::printf("seed %llu: acc %.4f, loss %.4f -> %.4f%s\n",
+                static_cast<unsigned long long>(seed), recs.back().test_acc,
+                recs.front().train_loss, recs.back().train_loss,
+                ok ? "" : "  (below the bar)");
+  }
+  EXPECT_GE(passed, 6);
 }
 
 TEST(DataParallel, BreakdownIsPopulated) {

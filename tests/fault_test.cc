@@ -140,14 +140,14 @@ TEST(Fault, ScopedWriteCrashArmsAByteBudget) {
 }
 
 TEST(Fault, StatsCountersRecordThroughMetrics) {
-  metrics::reset_fault_stats();
+  fault::reset_stats();
   fault::record_kill();
   fault::record_delay();
   fault::record_drop();
   fault::record_retry();
   fault::record_retry();
   fault::record_recovery();
-  const fault::FaultStats s = metrics::fault_stats();
+  const fault::FaultStats s = fault::stats();
   EXPECT_EQ(s.injected_kills, 1u);
   EXPECT_EQ(s.injected_delays, 1u);
   EXPECT_EQ(s.dropped_requests, 1u);
@@ -155,8 +155,8 @@ TEST(Fault, StatsCountersRecordThroughMetrics) {
   EXPECT_EQ(s.retries, 2u);
   EXPECT_EQ(s.recoveries, 1u);
   EXPECT_NE(metrics::fmt_fault_stats(s).find("retries 2"), std::string::npos);
-  metrics::reset_fault_stats();
-  EXPECT_EQ(metrics::fault_stats().injected_kills, 0u);
+  fault::reset_stats();
+  EXPECT_EQ(fault::stats().injected_kills, 0u);
 }
 
 // ---------------- Shm-cluster kill/delay recovery ----------------
@@ -207,7 +207,7 @@ TEST(Fault, ShmKillAndDelayRecoveryIsBitwiseExact) {
                                         shm_config());
   const auto clean_recs = clean.train(ds);
 
-  metrics::reset_fault_stats();
+  fault::reset_stats();
   runtime::ShmClusterConfig scfg = shm_config();
   scfg.fault = fault::Plan(13);
   scfg.fault.kill_worker(1, 1)      // donor is worker 0
@@ -224,7 +224,7 @@ TEST(Fault, ShmKillAndDelayRecoveryIsBitwiseExact) {
   EXPECT_TRUE(bitwise_equal(clean.model().flat_params(),
                             faulty.model().flat_params()));
 
-  const fault::FaultStats s = metrics::fault_stats();
+  const fault::FaultStats s = fault::stats();
   EXPECT_EQ(s.injected_kills, 2u);
   EXPECT_EQ(s.injected_delays, 1u);
   EXPECT_GE(s.recoveries, 2u);
@@ -263,7 +263,7 @@ TEST(Fault, ServeDropsAreRetriedToCompletion) {
   serve::FrozenModel frozen(tiny_resnet(6), "fault-serve");
   frozen.prime(Shape{3, 8, 8}, 4);
 
-  metrics::reset_fault_stats();
+  fault::reset_stats();
   serve::ServerConfig cfg;
   cfg.workers = 2;
   cfg.batcher.max_batch = 4;
@@ -287,18 +287,18 @@ TEST(Fault, ServeDropsAreRetriedToCompletion) {
   server.stop();
 
   EXPECT_EQ(done, 24);  // every request eventually served
-  const fault::FaultStats s = metrics::fault_stats();
+  const fault::FaultStats s = fault::stats();
   EXPECT_GT(s.dropped_requests, 0u);
   EXPECT_GT(s.retries, 0u);
   EXPECT_GT(s.recoveries, 0u);
-  metrics::reset_fault_stats();
+  fault::reset_stats();
 }
 
 TEST(Fault, ServeDroppedRequestFailsFastWithoutRetry) {
   serve::FrozenModel frozen(tiny_resnet(7), "fault-serve-norestry");
   frozen.prime(Shape{3, 8, 8}, 2);
 
-  metrics::reset_fault_stats();
+  fault::reset_stats();
   serve::ServerConfig cfg;
   cfg.workers = 1;
   cfg.batcher.max_batch = 2;
@@ -325,11 +325,11 @@ TEST(Fault, ServeDroppedRequestFailsFastWithoutRetry) {
       1, /*max_attempts=*/3);
   EXPECT_EQ(got, nullptr);
   server.stop();
-  const fault::FaultStats s = metrics::fault_stats();
+  const fault::FaultStats s = fault::stats();
   EXPECT_GE(s.dropped_requests, 4u);  // 1 fail-fast + 3 retried attempts
   EXPECT_EQ(s.retries, 2u);           // attempts 1 and 2 were retries
   EXPECT_EQ(s.recoveries, 0u);
-  metrics::reset_fault_stats();
+  fault::reset_stats();
 }
 
 // ---------------- Fleet drops + retry ----------------
@@ -387,11 +387,11 @@ TEST(FaultFleet, DropsRetriedToCompletionBitwiseAndNeverCountedDone) {
   };
 
   const std::vector<Tensor> clean = run(0, nullptr);
-  metrics::reset_fault_stats();
+  fault::reset_stats();
   metrics::FleetStats stats;
   const std::vector<Tensor> faulty = run(0.4, &stats);
-  const fault::FaultStats fs = metrics::fault_stats();
-  metrics::reset_fault_stats();
+  const fault::FaultStats fs = fault::stats();
+  fault::reset_stats();
 
   for (size_t i = 0; i < clean.size(); ++i) {
     ASSERT_GT(faulty[i].numel(), 0) << "request " << i << " never completed";

@@ -1,6 +1,6 @@
 // src/quant tests: post-training quantization (kernels, module lifecycle,
 // accuracy gate), delta-compressed variants, and the v2 checkpoint format
-// (round-trips, corruption, torn writes, v0/v1 coexistence). The quantized
+// (round-trips, corruption, torn writes). The quantized
 // forwards' thread-count determinism also runs under ctest pf_tests_threads4
 // (PF_THREADS=4) via the Quant* filter entry.
 #include "quant/quantize.h"
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "kernels/kernels.h"
 #include "kernels/qmat.h"
 #include "models/resnet.h"
 #include "nn/layers.h"
@@ -113,30 +114,67 @@ TEST(Quant, Bf16RoundTripIsRoundToNearestEven) {
   }
 }
 
-// The fused/backend quantized GEMMs must be bitwise identical to
-// dequantize-then-float-GEMM on the SAME backend -- that is the documented
-// contract, and it makes quantized serving exactly as deterministic as
-// fp32 serving.
-TEST(Quant, QuantizedGemmsMatchDequantReferencePerBackend) {
+// A quantized Linear / LowRankLinear is the fp32 layer on the dequantized
+// weights: its forward equals, bitwise, the fp32 forward of the same layer
+// with every weight replaced by dequantize(slot) (V transposed back from its
+// V^T slot), per backend, at 1 and 4 threads, for int8 and bf16, at row
+// counts from a single request to a wide batch. k and n are >= 512, so
+// every product sits above the avx2 packed-tile cutoff.
+TEST(Quant, QuantizedLinearForwardsEqualFp32OnDequantizedWeights) {
   const std::string prev = kernels::backend_name();
-  for (const char* name : {"scalar", "avx2"}) {
-    if (!kernels::set_backend(name)) continue;  // host lacks avx2
-    Rng rng(3);
-    const int64_t m = 9, k = 65, n = 33;  // off the packed-panel boundaries
-    Tensor x = rng.randn(Shape{m, k});
-    Tensor w = rng.randn(Shape{n, k});
-    for (kernels::QMode mode :
-         {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
-      kernels::QuantizedMat q = kernels::quantize_tensor(w, mode);
-      Tensor wd = kernels::dequantize(q);
-      Tensor ref(Shape{m, n});
-      kernels::active().gemm_nt(std::as_const(x).data(),
-                                std::as_const(wd).data(), ref.data(), m, k, n);
-      Tensor y = kernels::qmatmul_nt(x, q);
-      EXPECT_TRUE(bitwise_equal(y, ref))
-          << name << " mode " << static_cast<int>(mode);
+  ThreadGuard tg;
+  ag::NoGradGuard ng;
+  const int64_t in = 512, out = 576, rank = 128;
+  auto check = [&](const char* backend) {
+    ASSERT_TRUE(kernels::set_backend(backend));
+    for (int threads : {1, 4}) {
+      runtime::set_threads(threads);
+      for (kernels::QMode mode :
+           {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
+        // Quantizes w (as its transpose for a V^T slot) and makes w the
+        // fp32 reference: the dequantized values in w's own layout.
+        auto slot = [&](const ag::Var& w, bool transpose) {
+          auto q = std::make_shared<kernels::QuantizedMat>(
+              kernels::quantize_tensor(transpose ? w->value.t() : w->value,
+                                       mode));
+          const Tensor dq = kernels::dequantize(*q);
+          w->value = transpose ? dq.t() : dq;
+          return nn::QWeight(q);
+        };
+        Rng lr(12);
+        nn::Linear dense(in, out, lr);
+        nn::LowRankLinear lowrank(in, out, rank, lr);
+        const nn::QWeight qw = slot(dense.weight, false);
+        const nn::QWeight qu = slot(lowrank.u, false);
+        const nn::QWeight qvt = slot(lowrank.v, true);
+        for (int64_t m : {1, 8, 64}) {
+          const std::string where =
+              std::string(backend) + " threads " + std::to_string(threads) +
+              " mode " + std::to_string(static_cast<int>(mode)) + " m " +
+              std::to_string(m);
+          Rng xr(static_cast<uint64_t>(13 + m));
+          const ag::Var x = ag::leaf(xr.randn(Shape{m, in}));
+          dense.qweight = nullptr;
+          lowrank.qu = lowrank.qvt = nullptr;
+          const Tensor dense_ref = dense.forward(x)->value;
+          const Tensor lowrank_ref = lowrank.forward(x)->value;
+          dense.qweight = qw;
+          lowrank.qu = qu;
+          lowrank.qvt = qvt;
+          EXPECT_TRUE(bitwise_equal(dense.forward(x)->value, dense_ref))
+              << "Linear " << where;
+          EXPECT_TRUE(bitwise_equal(lowrank.forward(x)->value, lowrank_ref))
+              << "LowRankLinear " << where;
+        }
+      }
     }
+  };
+  check("scalar");
+  if (!kernels::avx2_supported()) {
+    kernels::set_backend(prev.c_str());
+    GTEST_SKIP() << "host CPU lacks AVX2/FMA; avx2 backend unavailable";
   }
+  check("avx2");
   kernels::set_backend(prev.c_str());
 }
 
@@ -287,14 +325,16 @@ TEST(Quant, ScalarAndAvx2QuantizedForwardsAgree) {
   if (!kernels::avx2_supported())
     GTEST_SKIP() << "host CPU lacks AVX2/FMA; avx2 backend unavailable";
   const std::string prev = kernels::backend_name();
+  ag::NoGradGuard ng;
   Rng rng(4);
-  Tensor x = rng.randn(Shape{5, 48});
-  Tensor w = rng.randn(Shape{24, 48});
-  kernels::QuantizedMat q = kernels::quantize_tensor(w, kernels::QMode::kInt8);
+  const ag::Var x = ag::leaf(rng.randn(Shape{5, 48}));
+  nn::Linear layer(48, 24, rng);
+  layer.qweight = std::make_shared<kernels::QuantizedMat>(
+      kernels::quantize_tensor(layer.weight->value, kernels::QMode::kInt8));
   ASSERT_TRUE(kernels::set_backend("scalar"));
-  Tensor ys = kernels::qmatmul_nt(x, q);
+  Tensor ys = layer.forward(x)->value;
   ASSERT_TRUE(kernels::set_backend("avx2"));
-  Tensor yv = kernels::qmatmul_nt(x, q);
+  Tensor yv = layer.forward(x)->value;
   kernels::set_backend(prev.c_str());
   // Different backends reassociate; equality is numeric, not bitwise.
   EXPECT_TRUE(allclose(ys, yv, 1e-4f, 1e-5f));
@@ -643,21 +683,6 @@ TEST(Quant, CheckpointV2TornWriteLeavesOldArtifactIntact) {
   c->train(false);
   load_quantized(*c, path);
   std::remove(path.c_str());
-}
-
-TEST(Quant, LegacyV0V1CheckpointsStillLoadAndQuantize) {
-  // v2 rides alongside v0/v1: a module restored from either legacy format
-  // quantizes exactly like a freshly trained one.
-  for (int version : {0, 1}) {
-    auto a = tiny_hybrid(45);
-    const std::string path = tmp_path("qckpt_legacy.bin");
-    nn::save_checkpoint(*a, path, version);
-    auto b = tiny_hybrid(46);
-    nn::load_checkpoint(*b, path);
-    std::remove(path.c_str());
-    EXPECT_TRUE(bitwise_equal(a->flat_params(), b->flat_params()));
-    EXPECT_GT(quantize_module(*b, QuantSpec{}), 0);
-  }
 }
 
 }  // namespace

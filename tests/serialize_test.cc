@@ -99,27 +99,31 @@ TEST(Checkpoint, RejectsCorruptFiles) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, LegacyVersion0FilesStillLoad) {
-  // Files written before the format-version byte existed must keep loading.
+TEST(Checkpoint, LegacyVersion0FilesAreRejected) {
+  // The unframed v0 format ("PUFFCKP1": magic | payload, no checksum) is
+  // retired. A v0 file -- written here by hand, as the old writer did --
+  // must throw an error naming its magic and leave the module untouched.
   Rng rng(6);
   Linear a(8, 8, rng);
+  io::ByteWriter w;
+  w.u64(0x50554646434B5031ull);  // "PUFFCKP1"
+  const std::vector<Tensor*> tensors = checkpoint_tensors(a);
+  w.u64(tensors.size());
+  for (Tensor* t : tensors) w.tensor(*t);
   const std::string path = tmp_path("ckpt_v0.bin");
-  save_checkpoint(a, path, /*version=*/0);
-
-  // A v0 file starts with the legacy magic, not the v1 magic.
-  {
-    std::ifstream is(path, std::ios::binary);
-    uint64_t magic = 0;
-    is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    ASSERT_TRUE(is.good());
-    EXPECT_EQ(magic, kCheckpointMagicV0);
-  }
+  io::write_file(path, w.data());
 
   Rng rng2(60);
   Linear b(8, 8, rng2);
-  ASSERT_FALSE(allclose(a.flat_params(), b.flat_params()));
-  load_checkpoint(b, path);
-  EXPECT_TRUE(allclose(a.flat_params(), b.flat_params(), 0.0f, 0.0f));
+  const Tensor before = b.flat_params();
+  try {
+    load_checkpoint(b, path);
+    ADD_FAILURE() << "a v0 checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"PUFFCKP1\""), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(allclose(before, b.flat_params(), 0.0f, 0.0f));
   std::remove(path.c_str());
 }
 
@@ -237,17 +241,17 @@ TEST(Checkpoint, KillMidWritePreservesPreviousCheckpoint) {
 
 TEST(Checkpoint, AtomicWriteCleansUpTempOnFailure) {
   const std::string path = tmp_path("atomic_probe.bin");
-  atomic_write(path, [](std::ofstream& os) {
+  io::atomic_write(path, [](std::ofstream& os) {
     const char payload[] = "payload";
     os.write(payload, sizeof(payload));
   });
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
-  EXPECT_THROW(atomic_write(path,
-                            [](std::ofstream&) {
-                              throw std::runtime_error("writer failed");
-                            }),
+  EXPECT_THROW(io::atomic_write(path,
+                                [](std::ofstream&) {
+                                  throw std::runtime_error("writer failed");
+                                }),
                std::runtime_error);
   EXPECT_TRUE(std::filesystem::exists(path));  // old file untouched
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
