@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
                                       static_cast<double>(bytes))});
   };
   dens_row("fp32 checkpoint (v1)", fp32_art);
-  dens_row("int8 quantized (v2)", int8_art);
+  dens_row("int8 quantized (v3)", int8_art);
   dens_row("delta variant (v2, shared base)", delta_art);
   t.print();
   const double delta_density = static_cast<double>(fp32_art) /

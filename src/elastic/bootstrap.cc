@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "quant/registry.h"
+#include "nn/serialize.h"
 
 namespace pf::elastic {
 
@@ -33,9 +33,9 @@ BootstrapPayload make_bootstrap(nn::Module& src, optim::Optimizer& opt,
   BootstrapPayload p;
   p.mode = mode;
   if (mode == BootstrapMode::kExact) {
-    for (const quant::detail::Entry& e : quant::detail::collect_entries(src)) {
-      p.state.push_back(clone_tensor(*e.tensor));
-      p.bytes += e.tensor->numel() * static_cast<int64_t>(sizeof(float));
+    for (const Tensor* t : nn::checkpoint_tensors(src)) {
+      p.state.push_back(clone_tensor(*t));
+      p.bytes += t->numel() * static_cast<int64_t>(sizeof(float));
     }
     for (Tensor* t : opt.state_tensors()) {
       p.opt_state.push_back(clone_tensor(*t));
@@ -53,15 +53,14 @@ BootstrapPayload make_bootstrap(nn::Module& src, optim::Optimizer& opt,
 
 void apply_bootstrap(nn::Module& dst, optim::Optimizer& opt,
                      const BootstrapPayload& payload, nn::Module* base) {
-  std::vector<quant::detail::Entry> entries =
-      quant::detail::collect_entries(dst);
+  const std::vector<Tensor*> entries = nn::checkpoint_tensors(dst);
   if (payload.mode == BootstrapMode::kExact) {
     if (entries.size() != payload.state.size())
       throw std::runtime_error(
           "elastic: bootstrap payload does not match the joiner's module "
           "tree (entry count mismatch)");
     for (size_t i = 0; i < entries.size(); ++i) {
-      Tensor* t = entries[i].tensor;
+      Tensor* t = entries[i];
       if (t->numel() != payload.state[i].numel())
         throw std::runtime_error(
             "elastic: bootstrap payload tensor shape mismatch");
@@ -84,14 +83,13 @@ void apply_bootstrap(nn::Module& dst, optim::Optimizer& opt,
   if (base == nullptr)
     throw std::runtime_error(
         "elastic: delta bootstrap needs the shared base model");
-  std::vector<quant::detail::Entry> base_entries =
-      quant::detail::collect_entries(*base);
+  const std::vector<Tensor*> base_entries = nn::checkpoint_tensors(*base);
   if (entries.size() != base_entries.size())
     throw std::runtime_error(
         "elastic: joiner and shared base module trees differ");
   for (size_t i = 0; i < entries.size(); ++i) {
-    Tensor* t = entries[i].tensor;
-    const Tensor* b = base_entries[i].tensor;
+    Tensor* t = entries[i];
+    const Tensor* b = base_entries[i];
     if (t->numel() != b->numel())
       throw std::runtime_error(
           "elastic: joiner and shared base tensor shapes differ");

@@ -165,15 +165,7 @@ RoundReport ElasticTrainer::train_round(const data::SyntheticImages& ds,
     if (!survivor && !kills.empty()) kills.erase(kills.begin());
     for (int w : kills) {
       if (!contains(active, w)) continue;  // mitigation already benched it
-      fault::record_kill();
-      nn::UnaryModule& dead = trainer_.replica(w);
-      const float poison = std::numeric_limits<float>::quiet_NaN();
-      for (nn::Param* p : dead.parameters()) {
-        Tensor& v = p->var->value;
-        std::fill(v.data(), v.data() + v.numel(), poison);
-      }
-      for (Tensor* t : trainer_.optimizer(w).state_tensors())
-        std::fill(t->data(), t->data() + t->numel(), poison);
+      trainer_.kill(w);
       synced_[static_cast<size_t>(w)] = 0;
       ++rep.kills;
     }

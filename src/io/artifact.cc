@@ -180,9 +180,14 @@ Envelope read_envelope(const std::vector<char>& file,
     in.fail("bad magic " + magic_name(magic) + ", expected " +
             magic_name(*magics.begin()) +
             " (not an artifact of this kind, or a retired format)");
-  for (const uint8_t want : header)
-    if (in.u8() != want)
-      in.fail("unsupported format version or wrong artifact kind");
+  // The first header byte is the format version, a second one the kind.
+  for (auto it = header.begin(); it != header.end(); ++it) {
+    const uint8_t got = in.u8();
+    if (got != *it)
+      in.fail((it == header.begin() ? "unsupported format version "
+                                    : "wrong artifact kind ") +
+              std::to_string(got) + ", expected " + std::to_string(*it));
+  }
   const uint64_t checksum = in.u64();
   const uint64_t length = in.u64();
   if (length != in.left())

@@ -22,6 +22,7 @@ QuantizedMat quantize_rows(const float* w, int64_t rows, int64_t cols,
     throw std::runtime_error("quantize_rows: empty matrix");
   QuantizedMat m;
   m.mode = mode;
+  m.shape = {rows, cols};
   m.rows = rows;
   m.cols = cols;
   if (mode == QMode::kBf16) {
@@ -56,7 +57,9 @@ QuantizedMat quantize_tensor(const Tensor& t, QMode mode) {
   if (t.dim() < 1 || t.numel() < 1)
     throw std::runtime_error("quantize_tensor: empty tensor");
   const int64_t rows = t.size(0);
-  return quantize_rows(t.data(), rows, t.numel() / rows, mode);
+  QuantizedMat m = quantize_rows(t.data(), rows, t.numel() / rows, mode);
+  m.shape = t.shape();
+  return m;
 }
 
 float dequant_at(const QuantizedMat& m, int64_t r, int64_t c) {
@@ -92,9 +95,10 @@ void dequant_rows(const QuantizedMat& m, float* out) {
 
 Tensor dequantize(const QuantizedMat& m) {
   const bool i8 = m.mode == QMode::kInt8;
-  if ((i8 && (m.q.empty() || m.scales.empty())) || (!i8 && m.b16.empty()))
+  if ((i8 && (m.q.empty() || m.scales.empty())) || (!i8 && m.b16.empty()) ||
+      shape_numel(m.shape) != m.rows * m.cols)
     throw std::runtime_error("dequantize: malformed QuantizedMat");
-  Tensor out = Tensor::uninit(Shape{m.rows, m.cols});
+  Tensor out = Tensor::uninit(m.shape);
   dequant_rows(m, out.data());
   return out;
 }

@@ -1,31 +1,15 @@
 #include "nn/layers.h"
 
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "nn/init.h"
 
 namespace pf::nn {
 
-ag::Var dequantized(const char* layer, const QWeight& q, bool transpose,
-                    Shape shape) {
-  if (ag::grad_enabled())
-    throw std::runtime_error(std::string(layer) +
-                             ": quantized weights are eval-only (tape-free "
-                             "forwards); dequantize before training");
-  Tensor w = kernels::dequantize(*q);
-  if (transpose) return ag::leaf(w.t());
-  if (shape.empty()) return ag::leaf(std::move(w));
-  if (shape[0] != q->rows)
-    throw std::runtime_error(std::string(layer) +
-                             ": quantized weight rows mismatch");
-  return ag::leaf(w.reshape(std::move(shape)));
-}
-
 Linear::Linear(int64_t in, int64_t out, Rng& rng, bool with_bias)
     : in_(in), out_(out) {
-  weight = add_param(
+  weight = add_weight(
       "weight", init::kaiming_uniform_default(Shape{out, in}, in, rng));
   if (with_bias)
     bias = add_param("bias",
@@ -34,8 +18,7 @@ Linear::Linear(int64_t in, int64_t out, Rng& rng, bool with_bias)
 }
 
 ag::Var Linear::forward(const ag::Var& x) {
-  const ag::Var w = qweight ? dequantized("Linear", qweight) : weight;
-  ag::Var y = ag::matmul_nt(x, w);  // (N, in) x (out, in)^T
+  ag::Var y = ag::matmul_nt(x, weight.read());  // (N, in) x (out, in)^T
   if (bias) y = ag::add(y, bias);
   return y;
 }
@@ -48,8 +31,8 @@ LowRankLinear::LowRankLinear(int64_t in, int64_t out, int64_t rank, Rng& rng,
   const float bound =
       std::sqrt(1.0f / std::sqrt(static_cast<float>(in) *
                                  static_cast<float>(rank)));
-  u = add_param("u", init::uniform(Shape{out, rank}, bound, rng));
-  v = add_param("v", init::uniform(Shape{in, rank}, bound, rng));
+  u = add_weight("u", init::uniform(Shape{out, rank}, bound, rng));
+  v = add_weight("v", init::uniform(Shape{in, rank}, bound, rng));
   if (with_bias)
     bias = add_param("bias",
                      init::kaiming_uniform_default(Shape{out}, in, rng),
@@ -60,10 +43,7 @@ ag::Var LowRankLinear::forward(const ag::Var& x) {
   // Fused (x @ v) @ u^T: one kernel launch; when taped it materializes the
   // (N, r) intermediate for the backward pass, when not (eval / frozen
   // serve) the intermediate stays a per-row-block scratch buffer.
-  ag::Var y =
-      qu ? ag::lowrank_linear(x, dequantized("LowRankLinear", qvt, true),
-                              dequantized("LowRankLinear", qu))
-         : ag::lowrank_linear(x, v, u);
+  ag::Var y = ag::lowrank_linear(x, v.read(), u.read());
   if (bias) y = ag::add(y, bias);
   return y;
 }
@@ -71,16 +51,12 @@ ag::Var LowRankLinear::forward(const ag::Var& x) {
 Conv2d::Conv2d(int64_t c_in, int64_t c_out, int64_t kernel, int64_t stride,
                int64_t pad, Rng& rng)
     : c_in_(c_in), c_out_(c_out), kernel_(kernel), stride_(stride), pad_(pad) {
-  weight = add_param("weight", init::kaiming_normal_conv(
-                                   Shape{c_out, c_in, kernel, kernel}, rng));
+  weight = add_weight("weight", init::kaiming_normal_conv(
+                                    Shape{c_out, c_in, kernel, kernel}, rng));
 }
 
 ag::Var Conv2d::forward(const ag::Var& x) {
-  const ag::Var w =
-      qweight ? dequantized("Conv2d", qweight, false,
-                            Shape{c_out_, c_in_, kernel_, kernel_})
-              : weight;
-  return ag::conv2d(x, w, stride_, pad_);
+  return ag::conv2d(x, weight.read(), stride_, pad_);
 }
 
 LowRankConv2d::LowRankConv2d(int64_t c_in, int64_t c_out, int64_t kernel,
@@ -92,23 +68,16 @@ LowRankConv2d::LowRankConv2d(int64_t c_in, int64_t c_out, int64_t kernel,
       stride_(stride),
       pad_(pad),
       rank_(rank) {
-  u = add_param("u", init::kaiming_normal_conv(
-                         Shape{rank, c_in, kernel, kernel}, rng));
-  v = add_param("v",
-                init::kaiming_normal_conv(Shape{c_out, rank, 1, 1}, rng));
+  u = add_weight("u", init::kaiming_normal_conv(
+                          Shape{rank, c_in, kernel, kernel}, rng));
+  v = add_weight("v",
+                 init::kaiming_normal_conv(Shape{c_out, rank, 1, 1}, rng));
 }
 
 ag::Var LowRankConv2d::forward(const ag::Var& x) {
-  // One node for training, eval, serving and quantized eval (a quantized
-  // slot runs it on its dequantized factors): see ag::lowrank_conv2d.
-  if (!qu) return ag::lowrank_conv2d(x, u, v, stride_, pad_);
-  const int64_t r = qu->rows;
-  return ag::lowrank_conv2d(
-      x,
-      dequantized("LowRankConv2d", qu, false,
-                  Shape{r, c_in_, kernel_, kernel_}),
-      dequantized("LowRankConv2d", qv, false, Shape{c_out_, r, 1, 1}),
-      stride_, pad_);
+  // One node for training, eval, serving and quantized eval (quantized
+  // factors read dequantized): see ag::lowrank_conv2d.
+  return ag::lowrank_conv2d(x, u.read(), v.read(), stride_, pad_);
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)

@@ -6,34 +6,19 @@
 //   Conv: W (c_out,c_in,k,k) unrolled to (c_in k^2, c_out) ~= U V^T, giving
 //         a thin k x k convolution with r filters followed by a 1x1
 //         convolution ("linear combination of r basis filters").
+//
+// Every weight matrix (not biases or norms) is an nn::Weight, registered
+// quantizable and read through Weight::read, so any layer here runs
+// quantized (eval-only) on its dequantized weights with the same fp32 op.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "kernels/qmat.h"
 #include "nn/module.h"
 
 namespace pf::nn {
-
-// Quantized-weight slot (DESIGN.md §14). When quant::quantize_module sets a
-// layer's slot(s), tape-free forwards (eval / frozen serve) run on the
-// slots instead of the fp32 params; after quant::commit the fp32 weight
-// tensors are released entirely. Quantized layers are serving-only: forward
-// throws if called with gradients enabled.
-using QWeight = std::shared_ptr<const kernels::QuantizedMat>;
-
-// The one quantized forward: a slot as the fp32 weight it stands for,
-// dequantized once per forward into a pooled tensor and wrapped as a
-// constant leaf, which the layer feeds to its fp32 op -- so every quantized
-// layer (Linear, LowRankLinear, the convs and the LSTMs) is the fp32 layer
-// on the dequantized weights, bit for bit. `transpose` turns a V^T slot
-// (r, in) back into the (in, r) factor; a non-empty `shape` views the
-// (rows, cols) matrix as the weight's own shape (a conv's 4-D weight).
-// Throws, naming `layer`, when gradients are enabled.
-ag::Var dequantized(const char* layer, const QWeight& q, bool transpose = false,
-                    Shape shape = {});
 
 class Linear : public UnaryModule {
  public:
@@ -44,9 +29,8 @@ class Linear : public UnaryModule {
 
   int64_t in_features() const { return in_; }
   int64_t out_features() const { return out_; }
-  ag::Var weight;  // (out, in)
-  ag::Var bias;    // (out) or null
-  QWeight qweight; // (out, in), per-out scales
+  Weight weight;  // (out, in)
+  ag::Var bias;   // (out) or null
 
  private:
   int64_t in_, out_;
@@ -66,11 +50,9 @@ class LowRankLinear : public UnaryModule {
   // only the bookkeeping: the caller must immediately re-factorize (or
   // apply_ranks-reshape) so u/v take their new (out, r)/(in, r) shapes.
   void set_rank(int64_t r) { rank_ = r; }
-  ag::Var u;     // (out, r)
-  ag::Var v;     // (in, r)
+  Weight u;      // (out, r)
+  Weight v;      // (in, r)
   ag::Var bias;  // (out) or null
-  QWeight qu;    // (out, r), per-out scales
-  QWeight qvt;   // V^T stored (r, in), per-r scales
 
  private:
   int64_t in_, out_, rank_;
@@ -88,8 +70,7 @@ class Conv2d : public UnaryModule {
   int64_t kernel() const { return kernel_; }
   int64_t stride() const { return stride_; }
   int64_t pad() const { return pad_; }
-  ag::Var weight;  // (c_out, c_in, k, k), bias-free (BN follows every conv)
-  QWeight qweight; // unrolled (c_out, c_in*k*k), per-c_out scales
+  Weight weight;  // (c_out, c_in, k, k), bias-free (BN follows every conv)
 
  private:
   int64_t c_in_, c_out_, kernel_, stride_, pad_;
@@ -110,10 +91,8 @@ class LowRankConv2d : public UnaryModule {
   int64_t rank() const { return rank_; }
   // See LowRankLinear::set_rank; u/v must be re-factorized right after.
   void set_rank(int64_t r) { rank_ = r; }
-  ag::Var u;  // (r, c_in, k, k): thin convolution
-  ag::Var v;  // (c_out, r, 1, 1): channel up-projection
-  QWeight qu; // unrolled (r, c_in*k*k), per-r scales
-  QWeight qv; // (c_out, r), per-c_out scales
+  Weight u;  // (r, c_in, k, k): thin convolution
+  Weight v;  // (c_out, r, 1, 1): channel up-projection
 
  private:
   int64_t c_in_, c_out_, kernel_, stride_, pad_, rank_;

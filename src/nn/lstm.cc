@@ -35,8 +35,10 @@ LSTMLayer::LSTMLayer(int64_t input_dim, int64_t hidden, Rng& rng)
     : d_(input_dim), h_(hidden) {
   // PyTorch LSTM init: U(-1/sqrt(h), 1/sqrt(h)) on every weight.
   const float bound = 1.0f / std::sqrt(static_cast<float>(hidden));
-  w_ih = add_param("w_ih", init::uniform(Shape{4 * hidden, input_dim}, bound, rng));
-  w_hh = add_param("w_hh", init::uniform(Shape{4 * hidden, hidden}, bound, rng));
+  w_ih = add_weight("w_ih",
+                    init::uniform(Shape{4 * hidden, input_dim}, bound, rng));
+  w_hh = add_weight("w_hh",
+                    init::uniform(Shape{4 * hidden, hidden}, bound, rng));
   bias = add_param("bias", init::uniform(Shape{4 * hidden}, bound, rng),
                    /*no_decay=*/true);
 }
@@ -44,16 +46,11 @@ LSTMLayer::LSTMLayer(int64_t input_dim, int64_t hidden, Rng& rng)
 ag::Var LSTMLayer::forward(const ag::Var& x, LstmState* state) {
   const int64_t t_len = x->value.size(0), b = x->value.size(1);
   auto [h0, c0] = initial_state(state, b, h_);
-  ag::Var wi = w_ih, wh = w_hh;
-  if (q_wih) {
-    wi = dequantized("LSTMLayer", q_wih);
-    wh = dequantized("LSTMLayer", q_whh);
-  }
   ag::Var xproj = ag::add(
-      ag::matmul_nt(ag::reshape(x, Shape{t_len * b, d_}), wi), bias);
+      ag::matmul_nt(ag::reshape(x, Shape{t_len * b, d_}), w_ih.read()), bias);
   return split_output(
       ag::lstm_recurrence(ag::reshape(xproj, Shape{t_len, b, 4 * h_}), h0, c0,
-                          wh),
+                          w_hh.read()),
       state);
 }
 
@@ -67,13 +64,13 @@ LowRankLSTMLayer::LowRankLSTMLayer(int64_t input_dim, int64_t hidden,
   static const char* kGate = "ifgo";
   for (int gate = 0; gate < 4; ++gate) {
     const std::string g(1, kGate[gate]);
-    u_ih[static_cast<size_t>(gate)] = add_param(
+    u_ih[static_cast<size_t>(gate)] = add_weight(
         "u_i" + g, init::uniform(Shape{hidden, rank}, fb, rng));
-    v_ih[static_cast<size_t>(gate)] = add_param(
+    v_ih[static_cast<size_t>(gate)] = add_weight(
         "v_i" + g, init::uniform(Shape{input_dim, rank}, fb, rng));
-    u_hh[static_cast<size_t>(gate)] = add_param(
+    u_hh[static_cast<size_t>(gate)] = add_weight(
         "u_h" + g, init::uniform(Shape{hidden, rank}, fb, rng));
-    v_hh[static_cast<size_t>(gate)] = add_param(
+    v_hh[static_cast<size_t>(gate)] = add_weight(
         "v_h" + g, init::uniform(Shape{hidden, rank}, fb, rng));
   }
   bias = add_param("bias", init::uniform(Shape{4 * hidden}, bound, rng),
@@ -83,15 +80,12 @@ LowRankLSTMLayer::LowRankLSTMLayer(int64_t input_dim, int64_t hidden,
 ag::Var LowRankLSTMLayer::forward(const ag::Var& x, LstmState* state) {
   const int64_t t_len = x->value.size(0), b = x->value.size(1);
   auto [h0, c0] = initial_state(state, b, h_);
-  std::array<ag::Var, 4> ui = u_ih, vi = v_ih, uh = u_hh, vh = v_hh;
-  if (q_u_ih[0]) {
-    const char* layer = "LowRankLSTMLayer";
-    for (size_t g = 0; g < 4; ++g) {
-      ui[g] = dequantized(layer, q_u_ih[g]);
-      vi[g] = dequantized(layer, q_vt_ih[g], /*transpose=*/true);
-      uh[g] = dequantized(layer, q_u_hh[g]);
-      vh[g] = dequantized(layer, q_vt_hh[g], /*transpose=*/true);
-    }
+  std::array<ag::Var, 4> ui, vi, uh, vh;
+  for (size_t g = 0; g < 4; ++g) {
+    ui[g] = u_ih[g].read();
+    vi[g] = v_ih[g].read();
+    uh[g] = u_hh[g].read();
+    vh[g] = v_hh[g].read();
   }
   const ag::Var x2 = ag::reshape(x, Shape{t_len * b, d_});
   std::vector<ag::Var> gates;

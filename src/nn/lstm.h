@@ -10,9 +10,9 @@
 // A forward call projects the whole input sequence at once (one GEMM over
 // all T*B rows for W_ih, one lowrank_linear per gate for the factorized
 // layer, bias folded in) and then runs the time loop as one tape node,
-// ag::lstm_recurrence, whose backward is a hand-written BPTT. Quantized
-// layers (eval only) dequantize their weights once per call and run the same
-// forward, so they equal the fp32 layer on the dequantized weights bitwise.
+// ag::lstm_recurrence, whose backward is a hand-written BPTT. Every weight
+// matrix is an nn::Weight read once per call, so a quantized layer (eval
+// only) runs the same forward on its dequantized weights, bit for bit.
 #pragma once
 
 #include <array>
@@ -46,12 +46,9 @@ class LSTMLayer : public LstmBase {
   int64_t hidden() const override { return h_; }
   int64_t input_dim() const override { return d_; }
 
-  ag::Var w_ih;  // (4h, d)
-  ag::Var w_hh;  // (4h, h)
+  Weight w_ih;   // (4h, d)
+  Weight w_hh;   // (4h, h)
   ag::Var bias;  // (4h)
-  // Quantized slots (set together or not at all; see nn/layers.h QWeight).
-  QWeight q_wih;  // (4h, d), per-row scales
-  QWeight q_whh;  // (4h, h), per-row scales
 
  private:
   int64_t d_, h_;
@@ -67,12 +64,9 @@ class LowRankLSTMLayer : public LstmBase {
   int64_t rank() const { return r_; }
 
   // Index by gate: 0=i, 1=f, 2=g, 3=o.
-  std::array<ag::Var, 4> u_ih, v_ih;  // (h, r), (d, r)
-  std::array<ag::Var, 4> u_hh, v_hh;  // (h, r), (h, r)
-  ag::Var bias;                       // (4h)
-  // Quantized slots, all 16 set together or none (see nn/layers.h QWeight).
-  std::array<QWeight, 4> q_u_ih, q_vt_ih;  // (h, r), V^T (r, d)
-  std::array<QWeight, 4> q_u_hh, q_vt_hh;  // (h, r), V^T (r, h)
+  std::array<Weight, 4> u_ih, v_ih;  // (h, r), (d, r)
+  std::array<Weight, 4> u_hh, v_hh;  // (h, r), (h, r)
+  ag::Var bias;                      // (4h)
 
  private:
   int64_t d_, h_, r_;

@@ -82,8 +82,23 @@ void Module::set_flat_grads(const Tensor& flat) {
 
 ag::Var Module::add_param(std::string name, Tensor init, bool no_decay) {
   ag::Var v = ag::leaf(std::move(init), /*requires_grad=*/true);
-  params_.push_back(Param{std::move(name), v, no_decay});
+  params_.push_back(Param{std::move(name), v, no_decay, false, nullptr});
   return v;
+}
+
+Weight Module::add_weight(std::string name, Tensor init) {
+  add_param(std::move(name), std::move(init));
+  params_.back().quantizable = true;
+  return Weight(&params_.back());
+}
+
+ag::Var Weight::read() const {
+  if (!p_->quant) return p_->var;
+  if (ag::grad_enabled())
+    throw std::runtime_error("quantized weight '" + p_->name +
+                             "' is eval-only (tape-free forwards); "
+                             "dequantize before training");
+  return ag::leaf(kernels::dequantize(*p_->quant));
 }
 
 Tensor* Module::add_buffer(std::string name, Tensor init) {

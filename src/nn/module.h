@@ -10,6 +10,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "kernels/qmat.h"
 #include "tensor/rng.h"
 
 namespace pf::nn {
@@ -18,10 +19,37 @@ namespace pf::nn {
 // weight decay (BatchNorm/LayerNorm weights and all biases -- the paper
 // follows Goyal et al. and regularizes "model weights instead of the
 // BatchNorm layers").
+//
+// `quantizable` marks a layer's weight matrices (Module::add_weight): the
+// tensors quant::quantize_module may store quantized (DESIGN.md §14). A set
+// `quant` slot holds the weight in its own shape; tape-free forwards then
+// read the dequantized slot (Weight::read), and quant::commit may release
+// the fp32 value.
 struct Param {
   std::string name;
   ag::Var var;
   bool no_decay = false;
+  bool quantizable = false;
+  std::shared_ptr<const kernels::QuantizedMat> quant;
+};
+
+// A layer's handle to one of its quantizable weights. It reads like the
+// param's ag::Var (`w->value`, or passed to an op); forwards read it through
+// read(), which returns the Var, or, when the param's quant slot is set, the
+// dequantized weight as a constant leaf -- so a quantized layer is the fp32
+// layer on the dequantized weights, bit for bit. read() throws under an
+// active tape while the slot is set: quantized weights are eval-only.
+class Weight {
+ public:
+  Weight() = default;
+  explicit Weight(Param* p) : p_(p) {}
+  operator const ag::Var&() const { return p_->var; }
+  ag::Node* operator->() const { return p_->var.get(); }
+  Param& param() const { return *p_; }
+  ag::Var read() const;
+
+ private:
+  Param* p_ = nullptr;
 };
 
 // A non-learnable persistent tensor (BN running statistics).
@@ -46,8 +74,8 @@ class Module {
 
   // Parameters registered directly on this module (not children's).
   std::deque<Param>& local_params() { return params_; }
-  // Buffers live in a deque so the Tensor* handles handed out by
-  // add_buffer stay valid as more buffers are registered.
+  // Params and buffers live in deques so the handles handed out by
+  // add_weight and add_buffer stay valid as more are registered.
   std::deque<Buffer>& local_buffers() { return buffers_; }
 
   // All parameters in the subtree, depth-first.
@@ -74,6 +102,9 @@ class Module {
   Module() = default;
   // Registers and returns a learnable parameter.
   ag::Var add_param(std::string name, Tensor init, bool no_decay = false);
+  // Registers a quantizable weight matrix (decayed; rows = dim 0 carry the
+  // int8 scales).
+  Weight add_weight(std::string name, Tensor init);
   Tensor* add_buffer(std::string name, Tensor init);
   void register_child(Module* child) { children_.push_back(child); }
 

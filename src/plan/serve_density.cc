@@ -10,21 +10,11 @@ namespace pf::plan {
 
 namespace {
 
-// Serving bytes if commit() ran: current footprint minus the fp32 masters
-// every set slot would release.
-int64_t committed_bytes(nn::Module& m) {
-  int64_t total = quant::serving_bytes(m);
-  for (const quant::detail::Entry& e : quant::detail::collect_entries(m))
-    if (e.slot && *e.slot)
-      total -= e.tensor->numel() * static_cast<int64_t>(sizeof(float));
-  return total;
-}
-
 int64_t quantized_footprint(nn::Module& m, kernels::QMode mode) {
   quant::QuantSpec spec;
   spec.mode = mode;
   quant::quantize_module(m, spec);
-  const int64_t bytes = committed_bytes(m);
+  const int64_t bytes = quant::committed_bytes(m);
   quant::rollback(m);
   return bytes;
 }

@@ -5,6 +5,7 @@
 
 #include "core/factorize.h"
 #include "kernels/kernels.h"
+#include "nn/serialize.h"
 
 namespace pf::quant {
 
@@ -23,8 +24,8 @@ int64_t DeltaModel::lowrank_entries() const {
 
 DeltaModel compute_delta(nn::Module& base, nn::Module& variant,
                          const DeltaSpec& spec) {
-  std::vector<detail::Entry> be = detail::collect_entries(base);
-  std::vector<detail::Entry> ve = detail::collect_entries(variant);
+  const std::vector<Tensor*> be = nn::checkpoint_tensors(base);
+  const std::vector<Tensor*> ve = nn::checkpoint_tensors(variant);
   if (be.size() != ve.size())
     throw std::runtime_error("compute_delta: module trees differ in size");
 
@@ -32,8 +33,8 @@ DeltaModel compute_delta(nn::Module& base, nn::Module& variant,
   DeltaModel out;
   out.entries.reserve(be.size());
   for (size_t i = 0; i < be.size(); ++i) {
-    const Tensor& wb = *be[i].tensor;
-    const Tensor& wv = *ve[i].tensor;
+    const Tensor& wb = *be[i];
+    const Tensor& wv = *ve[i];
     if (wb.shape() != wv.shape())
       throw std::runtime_error("compute_delta: tensor shape mismatch at " +
                                std::to_string(i));
@@ -64,13 +65,13 @@ DeltaModel compute_delta(nn::Module& base, nn::Module& variant,
 }
 
 void apply_delta(nn::Module& m, const DeltaModel& d) {
-  std::vector<detail::Entry> es = detail::collect_entries(m);
+  const std::vector<Tensor*> es = nn::checkpoint_tensors(m);
   if (es.size() != d.entries.size())
     throw std::runtime_error("apply_delta: entry count mismatch (delta " +
                              std::to_string(d.entries.size()) + ", model " +
                              std::to_string(es.size()) + ")");
   for (size_t i = 0; i < es.size(); ++i) {
-    Tensor& w = *es[i].tensor;
+    Tensor& w = *es[i];
     const DeltaEntry& e = d.entries[i];
     if (w.shape() != e.shape)
       throw std::runtime_error("apply_delta: shape mismatch at " +

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "quant/registry.h"
+#include "nn/module.h"
 
 namespace pf::quant {
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "io/artifact.h"
+#include "nn/serialize.h"
 
 namespace pf::quant {
 
@@ -17,13 +18,36 @@ constexpr uint8_t kEntryInt8 = 1;
 constexpr uint8_t kEntryBf16 = 2;
 constexpr uint8_t kEntryDeltaLowRank = 3;
 
+namespace {
+
+// One artifact entry: a checkpoint tensor and its param (null for a
+// buffer). parameters() lists the params in nn::checkpoint_tensors order.
+struct Entry {
+  Tensor* tensor;
+  nn::Param* param;
+};
+
+std::vector<Entry> entries(nn::Module& m) {
+  const std::vector<nn::Param*> params = m.parameters();
+  std::vector<Entry> out;
+  size_t next = 0;
+  for (Tensor* t : nn::checkpoint_tensors(m)) {
+    nn::Param* p = next < params.size() && t == &params[next]->var->value
+                       ? params[next++]
+                       : nullptr;
+    out.push_back({t, p});
+  }
+  return out;
+}
+
+}  // namespace
+
 void save_quantized(nn::Module& m, const std::string& path) {
-  std::vector<detail::Entry> es = detail::collect_entries(m);
+  const std::vector<Entry> es = entries(m);
   io::ByteWriter w;
   w.u64(es.size());
-  for (const detail::Entry& e : es) {
-    const kernels::QuantizedMat* q =
-        (e.slot && *e.slot) ? e.slot->get() : nullptr;
+  for (const Entry& e : es) {
+    const kernels::QuantizedMat* q = e.param ? e.param->quant.get() : nullptr;
     if (!q) {
       if (e.tensor->empty())
         throw std::runtime_error(
@@ -34,13 +58,7 @@ void save_quantized(nn::Module& m, const std::string& path) {
     }
     const bool int8 = q->mode == kernels::QMode::kInt8;
     w.u8(int8 ? kEntryInt8 : kEntryBf16);
-    // The fp32 shape travels too so a mismatched architecture fails loudly
-    // even when the master is already released.
-    w.shape(e.tensor->empty() ? (e.transpose ? Shape{e.qcols, e.qrows}
-                                             : Shape{e.qrows, e.qcols})
-                              : e.tensor->shape());
-    w.u64(static_cast<uint64_t>(q->rows));
-    w.u64(static_cast<uint64_t>(q->cols));
+    w.shape(q->shape);
     if (int8) {
       w.bytes(q->scales.data(), q->scales.size() * sizeof(float));
       w.bytes(q->q.data(), q->q.size());
@@ -59,7 +77,7 @@ void load_quantized(nn::Module& m, const std::string& path) {
       file, {kQCheckpointMagic}, {kQCheckpointVersion, kArtifactQuantized},
       what);
   io::ByteReader& r = env.payload;
-  std::vector<detail::Entry> es = detail::collect_entries(m);
+  const std::vector<Entry> es = entries(m);
   const uint64_t count = r.u64();
   if (count != es.size())
     r.fail("tensor count mismatch (file " + std::to_string(count) +
@@ -69,7 +87,7 @@ void load_quantized(nn::Module& m, const std::string& path) {
   std::vector<const char*> fp32(es.size(), nullptr);
   std::vector<std::shared_ptr<const kernels::QuantizedMat>> slots(es.size());
   for (size_t i = 0; i < es.size(); ++i) {
-    const detail::Entry& e = es[i];
+    const Entry& e = es[i];
     const uint8_t kind = r.u8();
     const Shape shape = r.shape();
     if (kind == kEntryFp32) {
@@ -81,24 +99,23 @@ void load_quantized(nn::Module& m, const std::string& path) {
     }
     if (kind != kEntryInt8 && kind != kEntryBf16)
       r.fail("unknown entry kind " + std::to_string(kind));
-    if (!e.slot)
+    if (!e.param || !e.param->quantizable)
       r.fail("quantized entry for a non-quantizable tensor "
              "(architecture mismatch)");
-    // A module saved AFTER commit no longer knows the fp32 shape and writes
-    // the canonical 2-D storage shape instead; accept either spelling.
-    const Shape storage = e.transpose ? Shape{e.qcols, e.qrows}
-                                      : Shape{e.qrows, e.qcols};
-    if (shape != e.tensor->shape() && shape != storage)
+    // A released master's shape lives on in its slot.
+    const Shape& want = e.tensor->empty() && e.param->quant
+                            ? e.param->quant->shape
+                            : e.tensor->shape();
+    if (shape != want || shape_numel(want) < 1)
       r.fail("shape mismatch: file " + shape_str(shape) + " vs model " +
-             shape_str(e.tensor->shape()));
+             shape_str(want));
     kernels::QuantizedMat q;
     q.mode = kind == kEntryInt8 ? kernels::QMode::kInt8
                                 : kernels::QMode::kBf16;
-    q.rows = static_cast<int64_t>(r.u64());
-    q.cols = static_cast<int64_t>(r.u64());
-    if (q.rows != e.qrows || q.cols != e.qcols)
-      r.fail("quantized storage shape mismatch");
-    // rows / cols now match the model, so these sizes are bounded by it.
+    // The shape matches the model, so these sizes are bounded by it.
+    q.shape = shape;
+    q.rows = shape[0];
+    q.cols = shape_numel(shape) / q.rows;
     const size_t n = static_cast<size_t>(q.rows) * static_cast<size_t>(q.cols);
     if (q.mode == kernels::QMode::kInt8) {
       q.scales.resize(static_cast<size_t>(q.rows));
@@ -113,14 +130,15 @@ void load_quantized(nn::Module& m, const std::string& path) {
   }
   r.expect_end();
   for (size_t i = 0; i < es.size(); ++i) {
-    detail::Entry& e = es[i];
+    const Entry& e = es[i];
     if (!slots[i]) {
+      if (e.param) e.param->quant.reset();
       if (e.tensor->numel())
         std::memcpy(e.tensor->data(), fp32[i],
                     static_cast<size_t>(e.tensor->numel()) * sizeof(float));
       continue;
     }
-    *e.slot = std::move(slots[i]);
+    e.param->quant = std::move(slots[i]);
     // Same state as quant::commit: the slot serves, the master is gone.
     e.param->var->value = Tensor();
     e.param->var->requires_grad = false;

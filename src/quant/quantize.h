@@ -1,11 +1,11 @@
 // Post-training weights-only quantization of module trees (DESIGN.md §14).
 //
-// quantize_module() walks the tree and fills every eligible layer's
-// quantized-weight slot (nn::QWeight) with per-output-row int8 symmetric
-// codes or bf16, computed from the trained fp32 weights. The fp32 masters
-// are kept, so eval runs the quantized forwards (slots take priority in
-// tape-free forwards) while rollback() can restore the fp32
-// path bit-for-bit. commit() releases the fp32 masters entirely: the
+// quantize_module() walks the tree and fills the quant slot of every
+// eligible quantizable nn::Param (a layer's weight matrices) with per-row
+// (dim 0) int8 symmetric codes or bf16, computed from the trained fp32
+// weights. The fp32 masters are kept, so eval runs the quantized forwards
+// (a set slot takes priority in tape-free forwards) while rollback() can
+// restore the fp32 path bit-for-bit. commit() releases the fp32 masters entirely: the
 // serving footprint becomes the quantized codes plus whatever stayed fp32
 // (biases, norms, embeddings).
 //
@@ -16,7 +16,7 @@
 
 #include <functional>
 
-#include "quant/registry.h"
+#include "nn/module.h"
 
 namespace pf::quant {
 
@@ -24,8 +24,9 @@ struct QuantSpec {
   kernels::QMode mode = kernels::QMode::kInt8;
   // Layers whose quantizable weights total fewer elements than this stay
   // fp32: the scale/metadata overhead and accuracy risk are not worth the
-  // few bytes saved. The threshold is per LAYER (all factors of a low-rank
-  // layer quantize together or not at all -- the forwards assume it).
+  // few bytes saved. The threshold is per LAYER: a low-rank layer's big U
+  // and small V quantize together or not at all, so a layer is either the
+  // fp32 layer or the layer on fully dequantized weights.
   int64_t min_numel = 1024;
 };
 
@@ -49,6 +50,9 @@ int64_t quantized_bytes(nn::Module& m);
 int64_t fp32_bytes(nn::Module& m);
 // Total resident serving footprint: quantized_bytes + fp32_bytes.
 int64_t serving_bytes(nn::Module& m);
+// The serving footprint once commit() runs: serving_bytes minus the fp32
+// masters the set slots would release.
+int64_t committed_bytes(nn::Module& m);
 
 struct GateResult {
   bool accepted = false;

@@ -267,6 +267,17 @@ void ShmDataParallelTrainer::replace_model(
     param_shapes_.push_back(p->var->value.shape());
 }
 
+void ShmDataParallelTrainer::kill(int w) {
+  fault::record_kill();
+  const float poison = std::numeric_limits<float>::quiet_NaN();
+  for (nn::Param* p : replicas_[static_cast<size_t>(w)]->parameters()) {
+    Tensor& v = p->var->value;
+    std::fill(v.data(), v.data() + v.numel(), poison);
+  }
+  for (Tensor* t : opts_[static_cast<size_t>(w)]->state_tensors())
+    std::fill(t->data(), t->data() + t->numel(), poison);
+}
+
 dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
     const data::SyntheticImages& ds, int epoch) {
   return train_epoch(ds, epoch, EpochParticipants{});
@@ -405,21 +416,10 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
               }
             }
             if (donor != w) {
-              // Kill: the replica's live state is lost. NaN-poison params
-              // and velocity first so an incomplete recovery cannot pass
-              // silently, then reincarnate from the donor. Running BN
-              // buffers are replica-local scratch (train mode uses batch
-              // stats) and are outside the recovery contract.
-              fault::record_kill();
-              nn::UnaryModule& dead = *replicas_[static_cast<size_t>(w)];
-              const float poison = std::numeric_limits<float>::quiet_NaN();
-              for (nn::Param* p : dead.parameters()) {
-                Tensor& v = p->var->value;
-                std::fill(v.data(), v.data() + v.numel(), poison);
-              }
-              for (Tensor* t : opts_[static_cast<size_t>(w)]->state_tensors())
-                std::fill(t->data(), t->data() + t->numel(), poison);
-              dead.set_flat_params(
+              // Kill: the replica's live state is lost; reincarnate it
+              // from the donor.
+              kill(w);
+              replicas_[static_cast<size_t>(w)]->set_flat_params(
                   replicas_[static_cast<size_t>(donor)]->flat_params());
               std::vector<Tensor*> src =
                   opts_[static_cast<size_t>(donor)]->state_tensors();

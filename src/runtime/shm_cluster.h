@@ -181,6 +181,12 @@ class ShmDataParallelTrainer {
   // slots inactive in the current round are stale by contract.
   nn::UnaryModule& replica(int w) { return *replicas_[static_cast<size_t>(w)]; }
   optim::SGD& optimizer(int w) { return *opts_[static_cast<size_t>(w)]; }
+  // Kills slot w's replica: counts the kill (fault::record_kill) and
+  // NaN-poisons its params and optimizer slots, so a recovery that misses a
+  // tensor cannot pass silently. Running BN buffers are replica-local
+  // scratch (train mode uses batch stats) and are outside the recovery
+  // contract.
+  void kill(int w);
   int workers() const { return cfg_.workers; }
   double cumulative_seconds() const { return wall_seconds_; }
   int64_t global_step() const { return global_step_; }

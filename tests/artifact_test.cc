@@ -37,7 +37,6 @@
 #include "nn/serialize.h"
 #include "quant/qcheckpoint.h"
 #include "quant/quantize.h"
-#include "quant/registry.h"
 
 namespace pf {
 namespace {
@@ -117,17 +116,17 @@ std::unique_ptr<nn::Sequential> tiny_net(int salt = 0) {
   return net;
 }
 
-// Shapes, data and quantized-slot occupancy of every tensor, in checkpoint
-// order: two modules compare equal iff a load could not tell them apart.
+// Shapes and data of every tensor, in checkpoint order, then every param's
+// quant-slot occupancy: two modules compare equal iff a load could not tell
+// them apart.
 Bytes module_state(nn::Module& m) {
   Bytes out;
-  for (const quant::detail::Entry& e : quant::detail::collect_entries(m)) {
-    const Tensor& t = *e.tensor;
-    for (int64_t d : t.shape()) append_u64(out, static_cast<uint64_t>(d));
-    const char* p = reinterpret_cast<const char*>(t.data());
-    out.insert(out.end(), p, p + t.numel() * sizeof(float));
-    out.push_back(e.slot && *e.slot ? 1 : 0);
+  for (const Tensor* t : nn::checkpoint_tensors(m)) {
+    for (int64_t d : t->shape()) append_u64(out, static_cast<uint64_t>(d));
+    const char* p = reinterpret_cast<const char*>(t->data());
+    out.insert(out.end(), p, p + t->numel() * sizeof(float));
   }
+  for (const nn::Param* p : m.parameters()) out.push_back(p->quant ? 1 : 0);
   return out;
 }
 
@@ -195,8 +194,8 @@ size_t checksum_offset(Kind k) {
   return 0;
 }
 
-// Quantizes a tiny net and commits it, so the artifact carries the storage
-// shapes a reloaded (serving-only) module writes back.
+// Quantizes a tiny net and commits it: the artifact a reloaded
+// (serving-only) module writes back.
 std::unique_ptr<nn::Sequential> quantized_net(kernels::QMode mode) {
   auto net = tiny_net();
   quant::QuantSpec spec;
@@ -298,9 +297,9 @@ TEST(CheckpointFormat, WritersEmitRecordedBytes) {
   const std::pair<Kind, uint64_t> expected[] = {
       {Kind::kCkptV1, 44460222534434392ull},
       {Kind::kStateV2, 2377966107174230933ull},
-      {Kind::kInt8, 14905352485851329462ull},
-      {Kind::kBf16, 11872712668929809920ull},
-      {Kind::kDelta, 11351027204438452011ull},
+      {Kind::kInt8, 15480472855904702108ull},
+      {Kind::kBf16, 755263071706199532ull},
+      {Kind::kDelta, 2466521222125487122ull},
   };
   for (const auto& [k, hash] : expected) {
     const Bytes b = make_artifact(k);
@@ -316,6 +315,30 @@ TEST(CheckpointFormat, ReferenceArtifactsRoundTrip) {
     const Bytes ref = make_artifact(k);
     write_file(path, ref);
     EXPECT_EQ(Loader(k, path + ".re")(path), ref) << kind_name(k);
+    std::remove(path.c_str());
+  }
+}
+
+// Version 2 quantized artifacts stored low-rank V factors transposed, so a
+// square V would load silently transposed: the reader refuses every
+// version-2 artifact, and its error names the file's version.
+TEST(CheckpointFormat, PreviousQuantizedVersionIsRejected) {
+  ASSERT_EQ(quant::kQCheckpointVersion, 3);
+  for (Kind k : {Kind::kInt8, Kind::kBf16, Kind::kDelta}) {
+    Bytes b = make_artifact(k);
+    ASSERT_EQ(b[8], 3) << kind_name(k);  // the byte after the magic
+    b[8] = 2;
+    const std::string path = tmp_path(std::string("artifact_v2_") +
+                                      kind_name(k));
+    write_file(path, b);
+    try {
+      (void)Loader(k, path + ".re")(path);
+      ADD_FAILURE() << kind_name(k) << ": a version-2 artifact loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("format version 2, expected 3"),
+                std::string::npos)
+          << kind_name(k) << ": " << e.what();
+    }
     std::remove(path.c_str());
   }
 }

@@ -125,7 +125,7 @@ TEST_P(FuzzP, RandomShapeShuffleGraph) {
 // Hybrid boundary layer: a dense conv feeding a factorized conv, the exact
 // composition at the K-1 boundary of a Pufferfish hybrid network. The
 // factorized side is the shipped nn::LowRankConv2d (one ag::lowrank_conv2d
-// node) with its u and v swapped for the checked leaves, so gradients are
+// node) with its u and v params swapped for the checked leaves, so gradients are
 // checked through the dense -> low-rank seam for stride-1 and stride-2
 // factorized convs.
 TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
@@ -139,8 +139,8 @@ TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
   nn::LowRankConv2d lr(c1, c2, /*kernel=*/3, stride, /*pad=*/1, r, rng);
   gradcheck(
       [&lr](const std::vector<Var>& v) {
-        lr.u = v[2];
-        lr.v = v[3];
+        lr.u.param().var = v[2];
+        lr.v.param().var = v[3];
         Var h = tanh(conv2d(v[0], v[1], 1, 1));
         h = lr.forward(h);
         return mean_all(mul(h, h));
@@ -153,7 +153,7 @@ TEST_P(FuzzP, HybridBoundaryFactorizedConv) {
 // loop is the hand-written BPTT of ag::lstm_recurrence) over T = 3 steps from
 // a non-zero initial state. The loss reads the output and the final h and c,
 // so every gradient path is checked: x, h0, c0, and every parameter. The
-// leaves after x, h0, c0 are swapped into the layer's parameter members
+// leaves after x, h0, c0 are swapped into the layer's parameter Vars
 // `slots`, which must cover all of its parameters.
 void gradcheck_lstm_layer(nn::LstmBase& layer, const std::vector<Var*>& slots,
                           Rng& rng) {
@@ -180,8 +180,8 @@ TEST_P(FuzzP, LowRankLstmGates) {
   nn::LowRankLSTMLayer l(d, h, /*rank=*/1 + rng.uniform_int(2), rng);
   std::vector<Var*> slots;
   for (size_t g = 0; g < 4; ++g)
-    for (Var* s : {&l.u_ih[g], &l.v_ih[g], &l.u_hh[g], &l.v_hh[g]})
-      slots.push_back(s);
+    for (nn::Weight* w : {&l.u_ih[g], &l.v_ih[g], &l.u_hh[g], &l.v_hh[g]})
+      slots.push_back(&w->param().var);
   slots.push_back(&l.bias);
   gradcheck_lstm_layer(l, slots, rng);
 }
@@ -189,7 +189,8 @@ TEST_P(FuzzP, LowRankLstmGates) {
 TEST_P(FuzzP, LstmLayerGates) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7127 + 5);
   nn::LSTMLayer l(2 + rng.uniform_int(2), 2 + rng.uniform_int(2), rng);
-  gradcheck_lstm_layer(l, {&l.w_ih, &l.w_hh, &l.bias}, rng);
+  gradcheck_lstm_layer(
+      l, {&l.w_ih.param().var, &l.w_hh.param().var, &l.bias}, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzP, ::testing::Range(0, 12));

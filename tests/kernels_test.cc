@@ -24,6 +24,7 @@
 #include "gradcheck.h"
 #include "kernels/qmat.h"
 #include "nn/layers.h"
+#include "quant/quantize.h"
 #include "runtime/thread_pool.h"
 #include "tensor/im2col.h"
 #include "tensor/matmul.h"
@@ -670,14 +671,16 @@ TEST(KernelsConvChunk, BatchForwardEqualsPerSampleForwards) {
       Rng lr(66);
       auto conv = std::make_shared<nn::Conv2d>(c.c_in, c.c_out, c.k, c.stride,
                                                c.pad, lr);
-      conv->qweight = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_tensor(w, mode));
+      conv->weight->value = w;
       auto lowrank = std::make_shared<nn::LowRankConv2d>(
           c.c_in, c.c_out, c.k, c.stride, c.pad, c.r, lr);
-      lowrank->qu = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_tensor(u, mode));
-      lowrank->qv = std::make_shared<kernels::QuantizedMat>(
-          kernels::quantize_tensor(v, mode));
+      lowrank->u->value = u;
+      lowrank->v->value = v;
+      quant::QuantSpec spec;
+      spec.mode = mode;
+      spec.min_numel = 0;
+      quant::quantize_module(*conv, spec);
+      quant::quantize_module(*lowrank, spec);
       paths.push_back({"quantized Conv2d", [=](const Tensor& xi) {
                          return conv->forward(ag::leaf(xi))->value;
                        }});

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +61,51 @@ std::unique_ptr<nn::UnaryModule> tiny_hybrid(uint64_t seed) {
 struct ThreadGuard {
   ~ThreadGuard() { runtime::set_threads(0); }
 };
+
+// Every module of the tree, depth-first.
+void for_each_module(nn::Module& m, const std::function<void(nn::Module&)>& f) {
+  f(m);
+  for (nn::Module* c : m.children()) for_each_module(*c, f);
+}
+
+// Quantizes every weight of `m` through quantize_module (no size gate) and
+// makes each fp32 master the reference the quantized forward must equal:
+// the dequantized slot, in the weight's own shape. The dequantized values
+// equal dequant_at element for element. Returns the matrices quantized.
+int64_t quantize_with_reference(nn::Module& m, kernels::QMode mode,
+                                const std::string& where) {
+  QuantSpec spec;
+  spec.mode = mode;
+  spec.min_numel = 0;
+  const int64_t n = quantize_module(m, spec);
+  for (nn::Param* p : m.parameters()) {
+    if (!p->quant) continue;
+    const kernels::QuantizedMat& q = *p->quant;
+    const Tensor d = kernels::dequantize(q);
+    EXPECT_EQ(d.shape(), p->var->value.shape()) << where << " " << p->name;
+    for (int64_t r = 0; r < q.rows; ++r)
+      for (int64_t c = 0; c < q.cols; ++c)
+        EXPECT_EQ(std::as_const(d).data()[r * q.cols + c],
+                  kernels::dequant_at(q, r, c))
+            << where << " " << p->name;
+    p->var->value = d;
+  }
+  return n;
+}
+
+// What `forward` returns with m's quant slots cleared (the fp32 layer on the
+// reference weights), then with them set again.
+template <typename F>
+std::pair<std::vector<Tensor>, std::vector<Tensor>> fp32_and_quantized(
+    nn::Module& m, const F& forward) {
+  std::vector<std::shared_ptr<const kernels::QuantizedMat>> slots;
+  for (nn::Param* p : m.parameters()) slots.push_back(p->quant);
+  rollback(m);
+  std::vector<Tensor> ref = forward();
+  size_t i = 0;
+  for (nn::Param* p : m.parameters()) p->quant = slots[i++];
+  return {std::move(ref), forward()};
+}
 
 // ---------------- kernels ----------------
 
@@ -114,11 +161,11 @@ TEST(Quant, Bf16RoundTripIsRoundToNearestEven) {
   }
 }
 
-// A quantized Linear / LowRankLinear is the fp32 layer on the dequantized
-// weights: its forward equals, bitwise, the fp32 forward of the same layer
-// with every weight replaced by dequantize(slot) (V transposed back from its
-// V^T slot), per backend, at 1 and 4 threads, for int8 and bf16, at row
-// counts from a single request to a wide batch. k and n are >= 512, so
+// A quantized Linear / LowRankLinear, quantized through quantize_module, is
+// the fp32 layer on the dequantized weights: its forward equals, bitwise,
+// the fp32 forward of the same layer with every weight replaced by
+// dequantize(slot), per backend, at 1 and 4 threads, for int8 and bf16, at
+// row counts from a single request to a wide batch. k and n are >= 512, so
 // every product sits above the avx2 packed-tile cutoff.
 TEST(Quant, QuantizedLinearForwardsEqualFp32OnDequantizedWeights) {
   const std::string prev = kernels::backend_name();
@@ -131,40 +178,25 @@ TEST(Quant, QuantizedLinearForwardsEqualFp32OnDequantizedWeights) {
       runtime::set_threads(threads);
       for (kernels::QMode mode :
            {kernels::QMode::kInt8, kernels::QMode::kBf16}) {
-        // Quantizes w (as its transpose for a V^T slot) and makes w the
-        // fp32 reference: the dequantized values in w's own layout.
-        auto slot = [&](const ag::Var& w, bool transpose) {
-          auto q = std::make_shared<kernels::QuantizedMat>(
-              kernels::quantize_tensor(transpose ? w->value.t() : w->value,
-                                       mode));
-          const Tensor dq = kernels::dequantize(*q);
-          w->value = transpose ? dq.t() : dq;
-          return nn::QWeight(q);
-        };
+        const std::string where =
+            std::string(backend) + " threads " + std::to_string(threads) +
+            " mode " + std::to_string(static_cast<int>(mode));
         Rng lr(12);
         nn::Linear dense(in, out, lr);
         nn::LowRankLinear lowrank(in, out, rank, lr);
-        const nn::QWeight qw = slot(dense.weight, false);
-        const nn::QWeight qu = slot(lowrank.u, false);
-        const nn::QWeight qvt = slot(lowrank.v, true);
+        ASSERT_EQ(quantize_with_reference(dense, mode, where), 1);
+        ASSERT_EQ(quantize_with_reference(lowrank, mode, where), 2);
         for (int64_t m : {1, 8, 64}) {
-          const std::string where =
-              std::string(backend) + " threads " + std::to_string(threads) +
-              " mode " + std::to_string(static_cast<int>(mode)) + " m " +
-              std::to_string(m);
           Rng xr(static_cast<uint64_t>(13 + m));
           const ag::Var x = ag::leaf(xr.randn(Shape{m, in}));
-          dense.qweight = nullptr;
-          lowrank.qu = lowrank.qvt = nullptr;
-          const Tensor dense_ref = dense.forward(x)->value;
-          const Tensor lowrank_ref = lowrank.forward(x)->value;
-          dense.qweight = qw;
-          lowrank.qu = qu;
-          lowrank.qvt = qvt;
-          EXPECT_TRUE(bitwise_equal(dense.forward(x)->value, dense_ref))
-              << "Linear " << where;
-          EXPECT_TRUE(bitwise_equal(lowrank.forward(x)->value, lowrank_ref))
-              << "LowRankLinear " << where;
+          for (nn::UnaryModule* layer :
+               std::initializer_list<nn::UnaryModule*>{&dense, &lowrank}) {
+            const auto [ref, q] = fp32_and_quantized(*layer, [&] {
+              return std::vector<Tensor>{layer->forward(x)->value};
+            });
+            EXPECT_TRUE(bitwise_equal(q[0], ref[0]))
+                << layer->type_name() << " " << where << " m " << m;
+          }
         }
       }
     }
@@ -200,34 +232,19 @@ TEST(Quant, QuantizedConvForwardsEqualFp32ConvOnDequantizedWeights) {
               std::string(backend) + " threads " + std::to_string(threads) +
               " mode " + std::to_string(static_cast<int>(mode)) + " stride " +
               std::to_string(stride);
-          auto slot = [&](const ag::Var& w) {
-            auto q = std::make_shared<kernels::QuantizedMat>(
-                kernels::quantize_tensor(w->value, mode));
-            const Tensor d = kernels::dequantize(*q);
-            for (int64_t r = 0; r < q->rows; ++r)
-              for (int64_t c = 0; c < q->cols; ++c)
-                EXPECT_EQ(std::as_const(d).data()[r * q->cols + c],
-                          kernels::dequant_at(*q, r, c))
-                    << where;
-            w->value = d.reshape(w->value.shape());  // the fp32 reference
-            return q;
-          };
           Rng lr(6);
           nn::Conv2d conv(16, 24, 3, stride, 1, lr);
           nn::LowRankConv2d lowrank(16, 24, 3, stride, 1, 6, lr);
-          auto qw = slot(conv.weight);
-          auto qu = slot(lowrank.u);
-          auto qv = slot(lowrank.v);
-          const Tensor conv_ref = conv.forward(ag::leaf(x))->value;
-          const Tensor lowrank_ref = lowrank.forward(ag::leaf(x))->value;
-          conv.qweight = qw;
-          lowrank.qu = qu;
-          lowrank.qv = qv;
-          EXPECT_TRUE(bitwise_equal(conv.forward(ag::leaf(x))->value, conv_ref))
-              << "Conv2d " << where;
-          EXPECT_TRUE(bitwise_equal(lowrank.forward(ag::leaf(x))->value,
-                                    lowrank_ref))
-              << "LowRankConv2d " << where;
+          ASSERT_EQ(quantize_with_reference(conv, mode, where), 1);
+          ASSERT_EQ(quantize_with_reference(lowrank, mode, where), 2);
+          for (nn::UnaryModule* layer :
+               std::initializer_list<nn::UnaryModule*>{&conv, &lowrank}) {
+            const auto [ref, q] = fp32_and_quantized(*layer, [&] {
+              return std::vector<Tensor>{layer->forward(ag::leaf(x))->value};
+            });
+            EXPECT_TRUE(bitwise_equal(q[0], ref[0]))
+                << layer->type_name() << " " << where;
+          }
         }
       }
     }
@@ -241,12 +258,12 @@ TEST(Quant, QuantizedConvForwardsEqualFp32ConvOnDequantizedWeights) {
   kernels::set_backend(prev.c_str());
 }
 
-// A quantized LSTM layer dequantizes its weights once per forward call and
-// runs the fp32 layer, so its output and final state equal -- memcmp, both
-// sides run the same GEMM sequence -- the fp32 forward of the same layer
-// with every weight replaced by dequantize(slot) (V factors transposed back
-// from their V^T slots). Both layer kinds, int8 and bf16, per backend and at
-// 1 and 4 threads, from a non-zero initial state.
+// A quantized LSTM layer, quantized through quantize_module, dequantizes its
+// weights once per forward call and runs the fp32 layer, so its output and
+// final state equal -- memcmp, both sides run the same GEMM sequence -- the
+// fp32 forward of the same layer with every weight replaced by
+// dequantize(slot). Both layer kinds, int8 and bf16, per backend and at 1
+// and 4 threads, from a non-zero initial state.
 TEST(Quant, QuantizedLstmForwardsEqualFp32OnDequantizedWeights) {
   const std::string prev = kernels::backend_name();
   ThreadGuard tg;
@@ -256,11 +273,6 @@ TEST(Quant, QuantizedLstmForwardsEqualFp32OnDequantizedWeights) {
   const Tensor x = rng.randn(Shape{t_len, b, d});
   const Tensor h0 = rng.randn(Shape{b, h});
   const Tensor c0 = rng.randn(Shape{b, h});
-  auto run = [&](nn::LstmBase& layer) {
-    nn::LstmState st{ag::leaf(h0), ag::leaf(c0)};
-    const Tensor y = layer.forward(ag::leaf(x), &st)->value;
-    return std::vector<Tensor>{y, st.h->value, st.c->value};
-  };
   auto check = [&](const char* backend) {
     ASSERT_TRUE(kernels::set_backend(backend));
     for (int threads : {1, 4}) {
@@ -270,44 +282,21 @@ TEST(Quant, QuantizedLstmForwardsEqualFp32OnDequantizedWeights) {
         const std::string where =
             std::string(backend) + " threads " + std::to_string(threads) +
             " mode " + std::to_string(static_cast<int>(mode));
-        // Quantizes w (as its transpose for a V^T slot) and makes w the
-        // fp32 reference: the dequantized values in w's own layout.
-        auto slot = [&](const ag::Var& w, bool transpose) {
-          auto q = std::make_shared<kernels::QuantizedMat>(
-              kernels::quantize_tensor(transpose ? w->value.t() : w->value,
-                                       mode));
-          const Tensor dq = kernels::dequantize(*q);
-          w->value = transpose ? dq.t() : dq;
-          return nn::QWeight(q);
-        };
         Rng lr(10);
         nn::LSTMLayer vanilla(d, h, lr);
-        const nn::QWeight q_wih = slot(vanilla.w_ih, false);
-        const nn::QWeight q_whh = slot(vanilla.w_hh, false);
-        const std::vector<Tensor> vanilla_ref = run(vanilla);
-        vanilla.q_wih = q_wih;
-        vanilla.q_whh = q_whh;
-        const std::vector<Tensor> vanilla_q = run(vanilla);
-
         nn::LowRankLSTMLayer lowrank(d, h, /*rank=*/4, lr);
-        std::array<nn::QWeight, 4> qu_ih, qvt_ih, qu_hh, qvt_hh;
-        for (size_t g = 0; g < 4; ++g) {
-          qu_ih[g] = slot(lowrank.u_ih[g], false);
-          qvt_ih[g] = slot(lowrank.v_ih[g], true);
-          qu_hh[g] = slot(lowrank.u_hh[g], false);
-          qvt_hh[g] = slot(lowrank.v_hh[g], true);
-        }
-        const std::vector<Tensor> lowrank_ref = run(lowrank);
-        lowrank.q_u_ih = qu_ih;
-        lowrank.q_vt_ih = qvt_ih;
-        lowrank.q_u_hh = qu_hh;
-        lowrank.q_vt_hh = qvt_hh;
-        const std::vector<Tensor> lowrank_q = run(lowrank);
-        for (size_t i = 0; i < 3; ++i) {
-          EXPECT_TRUE(bitwise_equal(vanilla_q[i], vanilla_ref[i]))
-              << "LSTMLayer " << where << " tensor " << i;
-          EXPECT_TRUE(bitwise_equal(lowrank_q[i], lowrank_ref[i]))
-              << "LowRankLSTMLayer " << where << " tensor " << i;
+        ASSERT_EQ(quantize_with_reference(vanilla, mode, where), 2);
+        ASSERT_EQ(quantize_with_reference(lowrank, mode, where), 16);
+        for (nn::LstmBase* layer :
+             std::initializer_list<nn::LstmBase*>{&vanilla, &lowrank}) {
+          const auto [ref, q] = fp32_and_quantized(*layer, [&] {
+            nn::LstmState st{ag::leaf(h0), ag::leaf(c0)};
+            const Tensor y = layer->forward(ag::leaf(x), &st)->value;
+            return std::vector<Tensor>{y, st.h->value, st.c->value};
+          });
+          for (size_t i = 0; i < 3; ++i)
+            EXPECT_TRUE(bitwise_equal(q[i], ref[i]))
+                << layer->type_name() << " " << where << " tensor " << i;
         }
       }
     }
@@ -329,8 +318,7 @@ TEST(Quant, ScalarAndAvx2QuantizedForwardsAgree) {
   Rng rng(4);
   const ag::Var x = ag::leaf(rng.randn(Shape{5, 48}));
   nn::Linear layer(48, 24, rng);
-  layer.qweight = std::make_shared<kernels::QuantizedMat>(
-      kernels::quantize_tensor(layer.weight->value, kernels::QMode::kInt8));
+  ASSERT_EQ(quantize_module(layer, QuantSpec{}), 1);
   ASSERT_TRUE(kernels::set_backend("scalar"));
   Tensor ys = layer.forward(x)->value;
   ASSERT_TRUE(kernels::set_backend("avx2"));
@@ -386,22 +374,31 @@ TEST(Quant, QuantizeCommitRollbackLifecycle) {
 
 TEST(Quant, LayerGroupsQuantizeAtomically) {
   // Regression: low-rank layers have one big factor (U) and one small (V).
-  // A per-tensor min_numel threshold used to quantize U but skip V, and the
-  // forward fast path -- which checks a single slot per layer -- then
-  // dereferenced the unset one. The threshold must gate whole layers.
+  // A per-tensor min_numel threshold used to quantize U but skip V. The
+  // threshold must gate whole layers: a layer's quantizable weights are all
+  // quantized or none is.
   auto m = tiny_hybrid(12);
   m->train(false);
   QuantSpec spec;
   spec.min_numel = 1024;  // sits between the factor sizes of several layers
-  quantize_module(*m, spec);
-  for (const detail::Entry& e : detail::collect_entries(*m)) {
-    if (!e.slot) continue;
-    // Every slot of an owner group is set, or none is.
-    for (const detail::Entry& o : detail::collect_entries(*m))
-      if (o.slot && o.owner == e.owner) {
-        EXPECT_EQ(static_cast<bool>(*o.slot), static_cast<bool>(*e.slot));
+  ASSERT_GT(quantize_module(*m, spec), 0);
+  int mixed_sizes = 0;
+  for_each_module(*m, [&](nn::Module& layer) {
+    int64_t quantized = 0, weights = 0, smallest = -1;
+    for (nn::Param& p : layer.local_params()) {
+      if (!p.quantizable) {
+        EXPECT_FALSE(p.quant) << p.name;
+        continue;
       }
-  }
+      ++weights;
+      quantized += p.quant ? 1 : 0;
+      const int64_t n = p.var->value.numel();
+      smallest = smallest < 0 ? n : std::min(smallest, n);
+    }
+    EXPECT_TRUE(quantized == 0 || quantized == weights) << layer.type_name();
+    if (quantized > 0 && smallest < spec.min_numel) ++mixed_sizes;
+  });
+  EXPECT_GT(mixed_sizes, 0) << "no layer straddles min_numel";
   Rng xr(13);
   ag::NoGradGuard ng;
   m->forward(ag::leaf(xr.randn(Shape{2, 3, 16, 16})));  // must not crash
@@ -479,15 +476,16 @@ TEST(Quant, DeltaRecoversLowRankFineTune) {
   nn::load_checkpoint(*variant, path);
   std::remove(path.c_str());
   Rng pr(23);
-  for (detail::Entry& e : detail::collect_entries(*variant)) {
-    if (!e.param || e.tensor->numel() < 4096 || e.tensor->dim() < 2) continue;
-    const int64_t rows = e.tensor->size(0), cols = e.tensor->numel() / rows;
+  for (nn::Param* p : variant->parameters()) {
+    Tensor& w = p->var->value;
+    if (w.numel() < 4096 || w.dim() < 2) continue;
+    const int64_t rows = w.size(0), cols = w.numel() / rows;
     Tensor u = pr.randn(Shape{rows, 2}), v = pr.randn(Shape{2, cols});
     Tensor r2(Shape{rows, cols});
     kernels::active().gemm_nn(std::as_const(u).data(), std::as_const(v).data(),
                               r2.data(), rows, 2, cols);
     r2.mul_(0.01f);
-    e.tensor->add_(r2.reshape(e.tensor->shape()));
+    w.add_(r2.reshape(w.shape()));
   }
 
   DeltaSpec spec;
@@ -564,6 +562,17 @@ TEST(Quant, CheckpointV2QuantizedRoundTrip) {
     EXPECT_THROW(quantize_module(*b, spec), std::runtime_error);
     // ...and bitwise identical to the saved quantized forward.
     EXPECT_TRUE(bitwise_equal(b->forward(ag::leaf(x))->value, y_a));
+
+    // An all-fp32 artifact loaded over a quantized module clears its slots:
+    // the module is then the fp32 one the file holds.
+    auto c = tiny_hybrid(30);
+    c->train(false);
+    save_quantized(*c, path);
+    load_quantized(*a, path);
+    std::remove(path.c_str());
+    EXPECT_EQ(quantized_bytes(*a), 0);
+    EXPECT_TRUE(bitwise_equal(a->forward(ag::leaf(x))->value,
+                              c->forward(ag::leaf(x))->value));
   }
 }
 
