@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -22,17 +21,12 @@ Tensor mean_of(const std::vector<Tensor>& grads) {
   return out;
 }
 
-Tensor deep_copy(const Tensor& t) {
-  Tensor c = Tensor::uninit(t.shape());
-  std::memcpy(c.data(), std::as_const(t).data(),
-              static_cast<size_t>(t.numel()) * sizeof(float));
-  return c;
-}
-
-std::vector<Tensor> deep_copy_all(const std::vector<Tensor>& ts) {
+// Fresh copies of `ts`: a reducer keeps mutating its buffers after a
+// snapshot is taken.
+std::vector<Tensor> copy_all(const std::vector<Tensor>& ts) {
   std::vector<Tensor> out;
   out.reserve(ts.size());
-  for (const Tensor& t : ts) out.push_back(deep_copy(t));
+  for (const Tensor& t : ts) out.push_back(Tensor().copy_from(t));
   return out;
 }
 
@@ -193,7 +187,7 @@ Tensor SignumReducer::reduce(const std::vector<Tensor>& grads,
       m[j] = beta_ * m[j] + (1 - beta_) * grads[w][j];
     Tensor c = m;  // COW: unshared below only when error feedback mutates
     if (error_feedback_) {
-      c = deep_copy(m);
+      c = Tensor().copy_from(m);
       c.add_(error_[w]);
       double abs_sum = 0;
       for (int64_t j = 0; j < n; ++j)
@@ -256,8 +250,8 @@ ReducerState SignumReducer::state() const {
   if (momentum_.empty()) return st;
   st.scalars = {static_cast<int64_t>(momentum_.size()),
                 error_feedback_ ? 1 : 0};
-  st.tensors = deep_copy_all(momentum_);
-  for (const Tensor& e : deep_copy_all(error_))
+  st.tensors = copy_all(momentum_);
+  for (const Tensor& e : copy_all(error_))
     st.tensors.push_back(e);
   return st;
 }
@@ -276,12 +270,10 @@ void SignumReducer::set_state(const ReducerState& st) {
         "signum: snapshot state does not match this reducer's "
         "configuration (worker count or error-feedback flag)");
   const size_t workers = static_cast<size_t>(st.scalars[0]);
-  momentum_ = deep_copy_all(
-      {st.tensors.begin(), st.tensors.begin() + workers});
+  momentum_ = copy_all({st.tensors.begin(), st.tensors.begin() + workers});
   error_.clear();
   if (error_feedback_)
-    error_ = deep_copy_all(
-        {st.tensors.begin() + workers, st.tensors.end()});
+    error_ = copy_all({st.tensors.begin() + workers, st.tensors.end()});
 }
 
 // ---------------- Top-k ----------------
@@ -354,7 +346,7 @@ ReducerState TopKReducer::state() const {
   ReducerState st;
   if (error_.empty()) return st;
   st.scalars = {static_cast<int64_t>(error_.size())};
-  st.tensors = deep_copy_all(error_);
+  st.tensors = copy_all(error_);
   return st;
 }
 
@@ -368,7 +360,7 @@ void TopKReducer::set_state(const ReducerState& st) {
     throw std::runtime_error(
         "topk: snapshot state does not match this reducer's configuration "
         "(worker count or error-feedback flag)");
-  error_ = deep_copy_all(st.tensors);
+  error_ = copy_all(st.tensors);
 }
 
 // ---------------- Stochastic binary quantization ----------------

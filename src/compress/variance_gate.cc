@@ -1,6 +1,5 @@
 #include "compress/variance_gate.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -8,17 +7,6 @@
 #include "metrics/metrics.h"
 
 namespace pf::compress {
-
-namespace {
-
-Tensor deep_copy(const Tensor& t) {
-  Tensor c = Tensor::uninit(t.shape());
-  std::memcpy(c.data(), std::as_const(t).data(),
-              static_cast<size_t>(t.numel()) * sizeof(float));
-  return c;
-}
-
-}  // namespace
 
 Tensor VarianceGateReducer::reduce(const std::vector<Tensor>& grads,
                                    const std::vector<Shape>& shapes,
@@ -114,7 +102,8 @@ ReducerState VarianceGateReducer::state() const {
   ReducerState st;
   if (mean_.empty()) return st;
   st.scalars = {step_, layers_sent_, layers_skipped_};
-  st.tensors = {deep_copy(mean_), deep_copy(m2_), deep_copy(residual_)};
+  st.tensors = {Tensor().copy_from(mean_), Tensor().copy_from(m2_),
+                Tensor().copy_from(residual_)};
   return st;
 }
 
@@ -133,9 +122,9 @@ void VarianceGateReducer::set_state(const ReducerState& st) {
   step_ = st.scalars[0];
   layers_sent_ = st.scalars[1];
   layers_skipped_ = st.scalars[2];
-  mean_ = deep_copy(st.tensors[0]);
-  m2_ = deep_copy(st.tensors[1]);
-  residual_ = deep_copy(st.tensors[2]);
+  mean_ = Tensor().copy_from(st.tensors[0]);
+  m2_ = Tensor().copy_from(st.tensors[1]);
+  residual_ = Tensor().copy_from(st.tensors[2]);
 }
 
 }  // namespace pf::compress

@@ -47,14 +47,10 @@ void get(io::ByteReader& r, std::vector<T>& v) {
 void capture_optimizer(optim::Optimizer& opt, TrainState& st) {
   st.opt_scalars = opt.state_scalars();
   st.opt_tensors.clear();
-  for (Tensor* t : opt.state_tensors()) {
-    // Deep copy: the optimizer keeps mutating its buffers after the
-    // snapshot is taken.
-    Tensor copy = Tensor::uninit(t->shape());
-    std::memcpy(copy.data(), std::as_const(*t).data(),
-                static_cast<size_t>(t->numel()) * sizeof(float));
-    st.opt_tensors.push_back(std::move(copy));
-  }
+  // Fresh copies: the optimizer keeps mutating its buffers after the
+  // snapshot is taken.
+  for (Tensor* t : opt.state_tensors())
+    st.opt_tensors.push_back(Tensor().copy_from(*t));
 }
 
 void restore_optimizer(optim::Optimizer& opt, const TrainState& st) {

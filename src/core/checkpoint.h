@@ -60,16 +60,15 @@ struct TrainState {
 void capture_optimizer(optim::Optimizer& opt, TrainState& st);
 void restore_optimizer(optim::Optimizer& opt, const TrainState& st);
 
-// Atomic, checksummed TrainState file in the v2 format. load also accepts
-// v1 files by zero-extending the 3-word policy, but rejects one whose
-// policy kind word claims an adaptive kind, which no v1 writer produced.
-// load throws std::runtime_error on any I/O failure or corruption.
+// Atomic, checksummed TrainState file in the v2 format ("PUFFTST2"); a v1
+// file is rejected. load throws std::runtime_error on any I/O failure or
+// corruption.
 void save_train_state(const TrainState& st, const std::string& path);
 TrainState load_train_state(const std::string& path);
 
 // One training snapshot = weights + state under one directory.
 struct SnapshotPaths {
-  std::string model;  // <dir>/model.ckpt   (nn::save_checkpoint v1)
+  std::string model;  // <dir>/model.ckpt   (nn::save_checkpoint, PUFFCKP2)
   std::string state;  // <dir>/state.ckpt   (save_train_state)
 };
 SnapshotPaths snapshot_paths(const std::string& dir);

@@ -1,16 +1,16 @@
-// Joiner bootstrap payloads for elastic membership (DESIGN.md §16).
+// Joiner bootstraps for elastic membership (DESIGN.md §16).
 //
 // When a slot (re)joins the cluster its replica is stale, so it must be
-// brought up to the canonical state before it may touch the ring. The
-// payload it would ship over the wire comes in two flavors:
+// brought up to the canonical state before it may touch the ring. Two
+// modes:
 //
-//  * kExact -- every serializable tensor of the canonical replica (params
-//    AND buffers, in checkpoint order) plus the optimizer slot buffers,
-//    verbatim fp32. Lossless: the joiner is bitwise in sync, including
-//    BatchNorm running statistics. This is also what intra-cluster
-//    re-syncs (backup-worker activation, staleness catch-up, kill
-//    recovery) use. For a hybrid (factorized) model this is already the
-//    paper's win: the factors U, V ship instead of the full-rank W.
+//  * kExact -- the donor's full state (params AND buffers, plus the
+//    optimizer slots) copied verbatim by runtime::ShmDataParallelTrainer::
+//    sync_replica, the same copy every intra-cluster re-sync (backup-worker
+//    activation, staleness catch-up, kill recovery) uses. Lossless: the
+//    joiner is bitwise in sync, including BatchNorm running statistics. For
+//    a hybrid (factorized) model this is already the paper's win: the
+//    factors U, V ship instead of the full-rank W.
 //  * kDelta -- a low-rank-factorized residual of the canonical weights vs
 //    a shared base model every joiner already holds (quant::compute_delta,
 //    the §14 machinery), with optimizer momentum restarted at zero. Far
@@ -18,11 +18,9 @@
 //    the delta spec's retained energy, and still seed-deterministic so
 //    chaos runs replay bitwise.
 //
-// The shm cluster moves these payloads by memcpy, but `bytes` accounts
-// them as wire traffic so bench_elastic can price joins on a real network.
+// The shm cluster moves both by memcpy, but their byte counts are priced
+// as wire traffic so bench_elastic can price joins on a real network.
 #pragma once
-
-#include <cstdint>
 
 #include "nn/module.h"
 #include "optim/optim.h"
@@ -31,34 +29,19 @@
 namespace pf::elastic {
 
 enum class BootstrapMode {
-  kExact,  // full serialized state, lossless
+  kExact,  // full state, lossless
   kDelta,  // low-rank residual vs shared base + momentum restart, lossy
 };
 
 const char* to_string(BootstrapMode mode);
 
-struct BootstrapPayload {
-  BootstrapMode mode = BootstrapMode::kExact;
-  // kExact: the canonical replica's tensors (checkpoint order) and
-  // optimizer slot buffers, cloned so the payload is a stable snapshot.
-  std::vector<Tensor> state;
-  std::vector<Tensor> opt_state;
-  // kDelta: low-rank residual of canonical weights vs the shared base.
-  quant::DeltaModel delta;
-  int64_t bytes = 0;  // modeled wire size of the payload (fp32)
-};
-
-// Capture the state a joiner needs from the canonical replica `src` /
-// optimizer `opt`. `base` is the shared base model for kDelta (ignored,
-// may be null, for kExact).
-BootstrapPayload make_bootstrap(nn::Module& src, optim::Optimizer& opt,
-                                BootstrapMode mode, nn::Module* base,
-                                const quant::DeltaSpec& spec = {});
-
-// Install a payload into joiner `dst` / its optimizer. kExact copies every
-// tensor verbatim; kDelta resets dst to the shared base, reconstructs
-// base + UV^T in place, and zeroes the optimizer slots.
+// Installs a kDelta payload into joiner `dst` / its optimizer: resets dst
+// to the shared `base` (params and buffers), reconstructs base + UV^T in
+// place, and zeroes the optimizer slots. `delta` is
+// quant::compute_delta(base, canonical); its wire size is delta.bytes().
+// Checks every entry against `base` and `delta` before the first write, so
+// a joiner whose module tree differs is left untouched when it throws.
 void apply_bootstrap(nn::Module& dst, optim::Optimizer& opt,
-                     const BootstrapPayload& payload, nn::Module* base);
+                     const quant::DeltaModel& delta, nn::Module& base);
 
 }  // namespace pf::elastic

@@ -149,83 +149,54 @@ RoundReport ElasticTrainer::train_round(const data::SyntheticImages& ds,
     }
   }
 
-  // 4. Round kills destroy replica state at the boundary. Recovery needs a
-  // donor, so if the kills would wipe every up-to-date replica, the lowest
-  // scheduled victim is spared (the step-fault semantics, lifted to
-  // rounds). A kill beats the mitigation above: a dead worker cannot be
-  // backed up mid-round, it must re-bootstrap.
-  {
-    bool survivor = false;
-    for (int w = 0; w < workers; ++w)
-      if (synced_[static_cast<size_t>(w)] &&
-          std::find(kills.begin(), kills.end(), w) == kills.end()) {
-        survivor = true;
-        break;
-      }
-    if (!survivor && !kills.empty()) kills.erase(kills.begin());
-    for (int w : kills) {
-      if (!contains(active, w)) continue;  // mitigation already benched it
-      trainer_.kill(w);
-      synced_[static_cast<size_t>(w)] = 0;
-      ++rep.kills;
-    }
+  // 4. Round kills destroy replica state at the boundary. The donor is the
+  // lowest up-to-date replica not scheduled to die (runtime::donor_slot);
+  // if every up-to-date replica is, the lowest one is spared (recovery
+  // needs one survivor, as with step kills). It may have just LEFT:
+  // leaving abandons the slot but not the state it holds, exactly like a
+  // real node draining out.
+  std::vector<int> synced;
+  for (int w = 0; w < workers; ++w)
+    if (synced_[static_cast<size_t>(w)]) synced.push_back(w);
+  if (synced.empty())
+    throw std::runtime_error(
+        "elastic: no up-to-date replica to bootstrap from");
+  const int donor = runtime::donor_slot(synced, kills);
+  for (int w : kills) {
+    if (w == donor) continue;
+    trainer_.kill(w);
+    synced_[static_cast<size_t>(w)] = 0;
+    ++rep.kills;
   }
 
-  // 5. Bootstrap every active slot that does not hold the canonical state:
-  // genuine joiners ship the configured payload (factorized state or delta
-  // vs the shared base); kill recoveries and returning stale slots get the
-  // exact intra-cluster copy. The donor is the lowest up-to-date replica
-  // -- which may have just LEFT: leaving abandons the slot but not the
-  // state it holds, exactly like a real node draining out.
-  {
-    int donor = -1;
-    for (int w = 0; w < workers; ++w)
-      if (synced_[static_cast<size_t>(w)]) {
-        donor = w;
-        break;
+  // 5. Bring every active slot that does not hold the canonical state up to
+  // date: genuine joiners by the configured mode, kill recoveries and
+  // returning stale slots by the exact copy (sync_replica).
+  metrics::Timer t_recover;
+  quant::DeltaModel delta;
+  bool have_delta = false;
+  for (int w : active) {
+    if (synced_[static_cast<size_t>(w)]) continue;
+    const bool is_join = joined[static_cast<size_t>(w)] != 0;
+    int64_t bytes;
+    if (is_join && cfg_.bootstrap == BootstrapMode::kDelta) {
+      if (!have_delta) {
+        delta = quant::compute_delta(*base_, trainer_.replica(donor),
+                                     cfg_.delta);
+        have_delta = true;
       }
-    if (donor < 0)
-      throw std::runtime_error(
-          "elastic: no up-to-date replica to bootstrap from");
-    metrics::Timer t_recover;
-    BootstrapPayload exact, delta;
-    bool have_exact = false, have_delta = false;
-    for (int w : active) {
-      if (synced_[static_cast<size_t>(w)]) continue;
-      const bool is_join = joined[static_cast<size_t>(w)] != 0;
-      const BootstrapMode mode =
-          is_join ? cfg_.bootstrap : BootstrapMode::kExact;
-      BootstrapPayload* p;
-      if (mode == BootstrapMode::kDelta) {
-        if (!have_delta) {
-          delta = make_bootstrap(trainer_.replica(donor),
-                                 trainer_.optimizer(donor), mode,
-                                 base_.get(), cfg_.delta);
-          have_delta = true;
-        }
-        p = &delta;
-      } else {
-        if (!have_exact) {
-          exact = make_bootstrap(trainer_.replica(donor),
-                                 trainer_.optimizer(donor), mode,
-                                 base_.get(), cfg_.delta);
-          have_exact = true;
-        }
-        p = &exact;
-      }
-      apply_bootstrap(trainer_.replica(w), trainer_.optimizer(w), *p,
-                      base_.get());
-      if (rep.kills > 0 &&
-          std::find(kills.begin(), kills.end(), w) != kills.end())
-        fault::record_recovery();
-      synced_[static_cast<size_t>(w)] = 1;
-      if (is_join)
-        rep.bootstrap_bytes += p->bytes;
-      else
-        rep.resync_bytes += p->bytes;
+      apply_bootstrap(trainer_.replica(w), trainer_.optimizer(w), delta,
+                      *base_);
+      bytes = delta.bytes();  // momentum restarts at zero: no opt payload
+    } else {
+      bytes = trainer_.sync_replica(donor, w);
     }
-    rep.recover_s = t_recover.seconds();
+    if (std::find(kills.begin(), kills.end(), w) != kills.end())
+      fault::record_recovery();
+    synced_[static_cast<size_t>(w)] = 1;
+    (is_join ? rep.bootstrap_bytes : rep.resync_bytes) += bytes;
   }
+  rep.recover_s = t_recover.seconds();
 
   // 6. Run the round on the resolved membership.
   runtime::EpochParticipants parts;
@@ -285,10 +256,10 @@ void ElasticTrainer::save_snapshot(int next_round) {
 
 int ElasticTrainer::resume() {
   const int round = trainer_.resume();
-  // resume() broadcast the canonical snapshot state to every slot, so the
+  // resume() copied the canonical snapshot state into every slot, so the
   // whole universe is up to date -- donors and joiner bootstraps behave
-  // bitwise-identically to the uninterrupted run (the payload content is
-  // the canonical state either way; elastic_test asserts this).
+  // bitwise-identically to the uninterrupted run (the copied state is the
+  // canonical state either way; elastic_test asserts this).
   std::fill(synced_.begin(), synced_.end(), 1);
   std::fill(stale_rounds_.begin(), stale_rounds_.end(), 0);
   canonical_ = 0;

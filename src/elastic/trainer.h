@@ -7,19 +7,19 @@
 //  * joins/leaves -- the active slot set changes at the round boundary; the
 //    executor reshards the data and re-buckets the ring over the new dense
 //    lane set (bitwise-deterministic for any worker count). Joiners are
-//    bootstrapped from the canonical replica with a BootstrapPayload --
-//    the factorized (or delta-compressed) state, never a full-rank fp32
-//    dump unless the model itself is full-rank.
+//    brought up to date from a donor replica (BootstrapMode): the
+//    factorized state, or a delta vs the shared base, never a full-rank
+//    fp32 dump unless the model itself is full-rank.
 //  * round kills -- the slot's state is lost (NaN-poisoned) at the
-//    boundary; it recovers by the same bootstrap path. If every up-to-date
-//    slot is scheduled to die at once, the lowest is spared (recovery
-//    needs one survivor), mirroring the step-level fault semantics.
+//    boundary; it recovers by the exact copy. The donor is chosen by
+//    runtime::donor_slot, the rule step kills use: if every up-to-date slot
+//    is scheduled to die at once, the lowest is spared.
 //  * round stragglers (delay faults) -- mitigated per the configured
 //    StragglerStrategy: wait out the delay, activate a spare backup slot,
 //    or drop the straggler for up to `staleness_bound` consecutive rounds.
 //
 // Invariant: every ACTIVE replica holds the canonical state when a round
-// starts (exactly for kExact payloads; up to the delta spec's discarded
+// starts (exactly for exact copies; up to the delta spec's discarded
 // energy for kDelta joiners), so the round's trajectory is a pure function
 // of (seeds, schedules) and chaos runs replay bitwise
 // (tests/elastic_test.cc).
@@ -51,8 +51,8 @@ struct ElasticConfig {
   StragglerStrategy straggler = StragglerStrategy::kWaitAll;
   int staleness_bound = 2;
   // How genuine JOINERS are brought up to date. Intra-cluster re-syncs
-  // (kill recovery, backup activation, staleness catch-up) always ship the
-  // exact payload: they model cluster-internal copies, not wire joins.
+  // (kill recovery, backup activation, staleness catch-up) always take the
+  // exact copy: they model cluster-internal copies, not wire joins.
   BootstrapMode bootstrap = BootstrapMode::kExact;
   quant::DeltaSpec delta;  // kDelta tuning
 };
@@ -64,7 +64,7 @@ struct RoundReport {
   int stragglers_waited = 0, stragglers_mitigated = 0;
   int64_t bootstrap_bytes = 0;  // join payloads (wire traffic)
   int64_t resync_bytes = 0;     // kill/backup/staleness exact re-syncs
-  double recover_s = 0;  // time-to-recover: payload capture + install
+  double recover_s = 0;  // time-to-recover: every re-sync of the boundary
 };
 
 struct ElasticStats {
@@ -110,7 +110,7 @@ class ElasticTrainer {
   std::unique_ptr<nn::UnaryModule> base_;  // kDelta shared base (the init)
   // synced_[w]: replica w holds the canonical state of the last completed
   // round. All true at construction (identically seeded replicas) and
-  // after resume (broadcast); after a round, exactly the participants.
+  // after resume (all copied); after a round, exactly the participants.
   std::vector<char> synced_;
   std::vector<int> stale_rounds_;  // consecutive staleness exclusions
   int canonical_ = 0;

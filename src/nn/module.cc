@@ -41,17 +41,6 @@ Tensor Module::flat_params() {
   return flat;
 }
 
-void Module::set_flat_params(const Tensor& flat) {
-  if (flat.numel() != num_params())
-    throw std::runtime_error("set_flat_params: size mismatch");
-  int64_t off = 0;
-  for (Param* p : parameters()) {
-    Tensor& v = p->var->value;
-    std::copy(flat.data() + off, flat.data() + off + v.numel(), v.data());
-    off += v.numel();
-  }
-}
-
 Tensor Module::flat_grads() {
   Tensor flat(Shape{num_params()});  // zero-filled: grad-less params stay 0
   float* fp = flat.data();

@@ -90,11 +90,10 @@ class Module {
   // Zero all gradients in the subtree.
   void zero_grad();
 
-  // Gather/scatter all parameter *values* as one flat vector (used by the
-  // distributed simulator to broadcast replicas) and all *gradients*
-  // (used to build the flat allreduce buffer, the paper's packing trick).
+  // Gather all parameter *values* as one flat vector (tests compare
+  // replicas with it), and gather/scatter all *gradients* (the flat
+  // allreduce buffer, the paper's packing trick).
   Tensor flat_params();
-  void set_flat_params(const Tensor& flat);
   Tensor flat_grads();
   void set_flat_grads(const Tensor& flat);
 

@@ -60,6 +60,22 @@ class Barrier {
   std::condition_variable cv_;
 };
 
+// A flat buffer of `elems` floats cut into `bucket_bytes` buckets.
+struct Buckets {
+  int64_t elems = 0;
+  int64_t bucket_elems = 1;
+  int64_t count = 0;
+};
+
+Buckets bucket_plan(int64_t elems, int64_t bucket_bytes) {
+  Buckets b;
+  b.elems = elems;
+  b.bucket_elems = std::max<int64_t>(
+      1, bucket_bytes / static_cast<int64_t>(sizeof(float)));
+  b.count = (elems + b.bucket_elems - 1) / b.bucket_elems;
+  return b;
+}
+
 // One bucketed ring all-reduce pass as executed by worker `w`. Buckets are
 // walked from the tail of the flat buffer -- the order backward produces
 // gradients -- so a real ring would overlap early buckets with the head of
@@ -67,22 +83,22 @@ class Barrier {
 // where worker w owns segment w and sums it across replicas in ascending
 // replica order (bitwise identical to the sequential mean); the allgather
 // collapses to shared-memory reads of `agg`. Shared verbatim by train_epoch
-// and the calibration microbenchmark timed_ring_allreduce, so measured
-// alpha/beta describe the exact production code path.
-void ring_reduce_pass(int w, int n_active, int64_t total_params,
-                      int64_t bucket_elems, int64_t n_buckets,
+// and run_ring (ring_allreduce and the calibration microbenchmark
+// timed_ring_allreduce), so measured alpha/beta describe the exact
+// production code path.
+void ring_reduce_pass(int w, int n_active, const Buckets& b,
                       const std::vector<Tensor>& arena,
                       std::vector<const float*>& grad_p, float* agg,
                       Barrier& barrier) {
   const float inv = 1.0f / static_cast<float>(n_active);
-  for (int64_t k = n_buckets - 1; k >= 0; --k) {
+  for (int64_t k = b.count - 1; k >= 0; --k) {
     barrier.wait();
-    if (k == n_buckets - 1)  // first rendezvous published all arenas
+    if (k == b.count - 1)  // first rendezvous published all arenas
       for (int j = 0; j < n_active; ++j)
         grad_p[static_cast<size_t>(j)] =
             std::as_const(arena[static_cast<size_t>(j)]).data();
-    const int64_t b0 = k * bucket_elems;
-    const int64_t b1 = std::min(b0 + bucket_elems, total_params);
+    const int64_t b0 = k * b.bucket_elems;
+    const int64_t b1 = std::min(b0 + b.bucket_elems, b.elems);
     const int64_t seg = (b1 - b0 + n_active - 1) / n_active;
     if (w < n_active) {
       const int64_t s0 = b0 + w * seg;
@@ -98,16 +114,31 @@ void ring_reduce_pass(int w, int n_active, int64_t total_params,
   barrier.wait();
 }
 
-// Every nn::checkpoint_tensors entry (params and BN buffers) of replica 0
-// copied into the others, so all replicas hold the same full state.
-void broadcast_state(std::vector<std::unique_ptr<nn::UnaryModule>>& replicas) {
-  const std::vector<Tensor*> src = nn::checkpoint_tensors(*replicas[0]);
-  for (size_t w = 1; w < replicas.size(); ++w) {
-    const std::vector<Tensor*> dst = nn::checkpoint_tensors(*replicas[w]);
-    for (size_t i = 0; i < dst.size(); ++i)
-      std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(),
-                  static_cast<size_t>(dst[i]->numel()) * sizeof(float));
-  }
+// Runs `warmup` + `timed` ring passes over `arena` (one equal-length flat
+// tensor per lane) on one thread per lane, leaving the mean in the returned
+// tensor; `seconds` gets lane 0's time over the timed passes.
+Tensor run_ring(const std::vector<Tensor>& arena, int64_t bucket_bytes,
+                int warmup, int timed, double* seconds) {
+  const int lanes = static_cast<int>(arena.size());
+  const Buckets b = bucket_plan(arena[0].numel(), bucket_bytes);
+  Tensor agg(Shape{b.elems});
+  float* const agg_p = agg.data();
+  Barrier barrier(lanes);
+  auto worker_fn = [&](int w) {
+    std::vector<const float*> grad_p(static_cast<size_t>(lanes), nullptr);
+    for (int r = 0; r < warmup; ++r)
+      ring_reduce_pass(w, lanes, b, arena, grad_p, agg_p, barrier);
+    metrics::Timer t;  // every worker starts after the same barrier
+    for (int r = 0; r < timed; ++r)
+      ring_reduce_pass(w, lanes, b, arena, grad_p, agg_p, barrier);
+    if (w == 0) *seconds = t.seconds();
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(lanes - 1));
+  for (int w = 1; w < lanes; ++w) pool.emplace_back(worker_fn, w);
+  worker_fn(0);
+  for (std::thread& t : pool) t.join();
+  return agg;
 }
 
 // One active lane's BatchNorm running statistics: (momentum, buffer) in
@@ -149,15 +180,18 @@ void compose_bn(std::vector<LaneBn>& lanes, int n_active) {
 
 }  // namespace
 
+int donor_slot(const std::vector<int>& candidates,
+               const std::vector<int>& doomed) {
+  for (int c : candidates)
+    if (std::find(doomed.begin(), doomed.end(), c) == doomed.end()) return c;
+  return candidates.front();
+}
+
 double timed_ring_allreduce(int workers, int64_t elems, int64_t bucket_bytes,
                             int reps) {
   workers = std::max(1, workers);
   elems = std::max<int64_t>(1, elems);
   reps = std::max(1, reps);
-  const int64_t bucket_elems = std::max<int64_t>(
-      1, bucket_bytes / static_cast<int64_t>(sizeof(float)));
-  const int64_t n_buckets = (elems + bucket_elems - 1) / bucket_elems;
-
   std::vector<Tensor> arena;
   for (int w = 0; w < workers; ++w) {
     Tensor t(Shape{elems});
@@ -167,56 +201,20 @@ double timed_ring_allreduce(int workers, int64_t elems, int64_t bucket_bytes,
       d[i] = static_cast<float>((i + w) % 17) * 0.25f;
     arena.push_back(std::move(t));
   }
-  Tensor agg(Shape{elems});
-  float* const agg_p = agg.data();
-  Barrier barrier(workers);
+  // One untimed warm-up pass (faults in the first pass: page-in, cold
+  // caches), then `reps` timed ones.
   double seconds = 0;
-
-  auto worker_fn = [&](int w) {
-    std::vector<const float*> grad_p(static_cast<size_t>(workers), nullptr);
-    // Untimed warm-up pass (faults in the first pass: page-in, cold caches).
-    ring_reduce_pass(w, workers, elems, bucket_elems, n_buckets, arena,
-                     grad_p, agg_p, barrier);
-    metrics::Timer t;  // every worker starts after the same barrier
-    for (int r = 0; r < reps; ++r)
-      ring_reduce_pass(w, workers, elems, bucket_elems, n_buckets, arena,
-                       grad_p, agg_p, barrier);
-    if (w == 0) seconds = t.seconds();
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) pool.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (std::thread& t : pool) t.join();
+  run_ring(arena, bucket_bytes, 1, reps, &seconds);
   return seconds / reps;
 }
 
 Tensor ring_allreduce(const std::vector<Tensor>& grads, int64_t bucket_bytes) {
-  const int lanes = static_cast<int>(grads.size());
-  if (lanes < 1) throw std::runtime_error("ring_allreduce: no lanes");
-  const int64_t elems = grads[0].numel();
+  if (grads.empty()) throw std::runtime_error("ring_allreduce: no lanes");
   for (const Tensor& g : grads)
-    if (g.numel() != elems)
+    if (g.numel() != grads[0].numel())
       throw std::runtime_error("ring_allreduce: lane length mismatch");
-  const int64_t bucket_elems = std::max<int64_t>(
-      1, bucket_bytes / static_cast<int64_t>(sizeof(float)));
-  const int64_t n_buckets = (elems + bucket_elems - 1) / bucket_elems;
-
-  std::vector<Tensor> arena(grads.begin(), grads.end());
-  Tensor agg(Shape{elems});
-  float* const agg_p = agg.data();
-  Barrier barrier(lanes);
-  auto worker_fn = [&](int w) {
-    std::vector<const float*> grad_p(static_cast<size_t>(lanes), nullptr);
-    ring_reduce_pass(w, lanes, elems, bucket_elems, n_buckets, arena, grad_p,
-                     agg_p, barrier);
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(lanes - 1));
-  for (int w = 1; w < lanes; ++w) pool.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (std::thread& t : pool) t.join();
-  return agg;
+  double seconds = 0;
+  return run_ring(grads, bucket_bytes, 0, 1, &seconds);
 }
 
 ShmDataParallelTrainer::ShmDataParallelTrainer(
@@ -248,34 +246,58 @@ void ShmDataParallelTrainer::replace_model(
     next.push_back(make(rng));
   }
   if (transfer) {
-    // One transfer into the canonical replica, then a broadcast of its
-    // full checkpoint state (params and BN buffers) to the others. A
-    // transfer may re-rank low-rank layers (core::reproject), so the other
-    // replicas first take the canonical's ranks.
+    // One transfer into the canonical replica. A transfer may re-rank
+    // low-rank layers (core::reproject), so the other replicas first take
+    // the canonical's ranks; they get its state once the optimizers exist.
     transfer(*replicas_[0], *next[0]);
     const std::vector<int64_t> ranks = core::collect_ranks(*next[0]);
     for (size_t w = 1; w < next.size(); ++w) core::apply_ranks(*next[w], ranks);
-    broadcast_state(next);
   }
   replicas_ = std::move(next);
   opts_.clear();
   for (auto& r : replicas_)
     opts_.push_back(std::make_unique<optim::SGD>(
         r->parameters(), tc.lr, tc.momentum, tc.weight_decay));
+  if (transfer)
+    for (int w = 1; w < cfg_.workers; ++w) sync_replica(0, w);
   param_shapes_.clear();
   for (nn::Param* p : replicas_[0]->parameters())
     param_shapes_.push_back(p->var->value.shape());
 }
 
+int64_t ShmDataParallelTrainer::sync_replica(int from, int to) {
+  std::vector<Tensor*> src = nn::checkpoint_tensors(replica(from));
+  std::vector<Tensor*> dst = nn::checkpoint_tensors(replica(to));
+  const std::vector<Tensor*> src_opt = optimizer(from).state_tensors();
+  const std::vector<Tensor*> dst_opt = optimizer(to).state_tensors();
+  if (src.size() != dst.size() || src_opt.size() != dst_opt.size())
+    throw std::runtime_error("shm_cluster: replicas " + std::to_string(from) +
+                             " and " + std::to_string(to) +
+                             " hold different state trees");
+  src.insert(src.end(), src_opt.begin(), src_opt.end());
+  dst.insert(dst.end(), dst_opt.begin(), dst_opt.end());
+  for (size_t i = 0; i < dst.size(); ++i)
+    if (src[i]->shape() != dst[i]->shape())
+      throw std::runtime_error("shm_cluster: replicas " +
+                               std::to_string(from) + " and " +
+                               std::to_string(to) +
+                               " differ in a tensor shape");
+  int64_t bytes = 0;
+  for (size_t i = 0; i < dst.size(); ++i) {
+    const size_t n = static_cast<size_t>(dst[i]->numel()) * sizeof(float);
+    std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(), n);
+    bytes += static_cast<int64_t>(n);
+  }
+  return bytes;
+}
+
 void ShmDataParallelTrainer::kill(int w) {
   fault::record_kill();
-  const float poison = std::numeric_limits<float>::quiet_NaN();
-  for (nn::Param* p : replicas_[static_cast<size_t>(w)]->parameters()) {
-    Tensor& v = p->var->value;
-    std::fill(v.data(), v.data() + v.numel(), poison);
-  }
-  for (Tensor* t : opts_[static_cast<size_t>(w)]->state_tensors())
-    std::fill(t->data(), t->data() + t->numel(), poison);
+  std::vector<Tensor*> state = nn::checkpoint_tensors(replica(w));
+  for (Tensor* t : optimizer(w).state_tensors()) state.push_back(t);
+  for (Tensor* t : state)
+    std::fill(t->data(), t->data() + t->numel(),
+              std::numeric_limits<float>::quiet_NaN());
 }
 
 dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
@@ -318,9 +340,7 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
 
   int64_t total_params = 0;
   for (const Shape& s : param_shapes_) total_params += shape_numel(s);
-  const int64_t bucket_elems =
-      std::max<int64_t>(1, cfg_.bucket_bytes / static_cast<int64_t>(sizeof(float)));
-  const int64_t n_buckets = (total_params + bucket_elems - 1) / bucket_elems;
+  const Buckets buckets = bucket_plan(total_params, cfg_.bucket_bytes);
 
   metrics::Timer wall;
   const auto batches = ds.train_batches(tc.global_batch, epoch);
@@ -384,55 +404,45 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
         fault_acc[static_cast<size_t>(lane)] += t_fault.seconds();
       }
 
-      // Fault injection happens at the top of the step, before any barrier:
-      // the one point where every replica's params and optimizer velocity
-      // are stable (they only mutate in opt.step(), after the last barrier
-      // of the previous step) and bitwise-identical across workers. That
-      // makes a kill recoverable in place with plain const reads of a
-      // surviving replica, no extra synchronization.
+      // Step faults fire at the top of the step, where every active
+      // replica holds the same state: params and optimizer slots last moved
+      // in the previous step's opt.step(), BN buffers in its compose_bn.
       if (!cfg_.fault.empty()) {
-        if (const fault::WorkerFault* f = cfg_.fault.worker_fault(w, step)) {
-          PF_TRACE_SCOPE_C("shm.recover", step);
+        const fault::WorkerFault* f = cfg_.fault.worker_fault(w, step);
+        if (f && f->kind == fault::WorkerFault::Kind::kDelay) {
+          // Straggler: this worker stalls, the barriers make everyone
+          // else absorb the delay -- exactly how a slow node taxes
+          // synchronous data-parallel training.
           metrics::Timer t_fault;
-          if (f->kind == fault::WorkerFault::Kind::kDelay) {
-            // Straggler: this worker stalls, the barriers make everyone
-            // else absorb the delay -- exactly how a slow node taxes
-            // synchronous data-parallel training.
-            fault::record_delay();
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(f->delay_ms));
-          } else {
-            // Donor = lowest ACTIVE replica with no kill scheduled this
-            // step (inactive replicas are stale by the membership
-            // contract). If every active worker is scheduled to die
-            // simultaneously, the lowest active slot is spared: in-place
-            // recovery needs at least one survivor.
-            int donor = active[0];
+          fault::record_delay();
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(f->delay_ms));
+          fault_acc[static_cast<size_t>(lane)] += t_fault.seconds();
+        }
+        if (cfg_.fault.any_kill_at(step)) {
+          // Kill: every lane reads the same plan, so all of them meet
+          // here, out of any forward. Lane 0 then poisons each victim
+          // and reincarnates it from the donor while the others wait.
+          barrier.wait();
+          if (lane == 0) {
+            PF_TRACE_SCOPE_C("shm.recover", step);
+            metrics::Timer t_fault;
+            std::vector<int> victims;
             for (int j : active) {
               const fault::WorkerFault* jf = cfg_.fault.worker_fault(j, step);
-              if (!jf || jf->kind != fault::WorkerFault::Kind::kKill) {
-                donor = j;
-                break;
-              }
+              if (jf && jf->kind == fault::WorkerFault::Kind::kKill)
+                victims.push_back(j);
             }
-            if (donor != w) {
-              // Kill: the replica's live state is lost; reincarnate it
-              // from the donor.
-              kill(w);
-              replicas_[static_cast<size_t>(w)]->set_flat_params(
-                  replicas_[static_cast<size_t>(donor)]->flat_params());
-              std::vector<Tensor*> src =
-                  opts_[static_cast<size_t>(donor)]->state_tensors();
-              std::vector<Tensor*> dst =
-                  opts_[static_cast<size_t>(w)]->state_tensors();
-              for (size_t i = 0; i < dst.size(); ++i)
-                std::memcpy(dst[i]->data(), std::as_const(*src[i]).data(),
-                            static_cast<size_t>(dst[i]->numel()) *
-                                sizeof(float));
+            const int donor = donor_slot(active, victims);
+            for (int v : victims) {
+              if (v == donor) continue;
+              kill(v);
+              sync_replica(donor, v);
               fault::record_recovery();
             }
+            fault_acc[0] += t_fault.seconds();
           }
-          fault_acc[static_cast<size_t>(lane)] += t_fault.seconds();
+          barrier.wait();
         }
       }
 
@@ -476,8 +486,8 @@ dist::DistEpochRecord ShmDataParallelTrainer::train_epoch(
         // Bucketed all-reduce run by the workers themselves; see
         // ring_reduce_pass (also the calibration target of
         // timed_ring_allreduce, so plan profiles price this exact loop).
-        ring_reduce_pass(lane, n_active, total_params, bucket_elems,
-                         n_buckets, arena, grad_p, agg_ring, barrier);
+        ring_reduce_pass(lane, n_active, buckets, arena, grad_p, agg_ring,
+                         barrier);
       } else {
         // Non-summing payloads go through the Reducer, centralized on
         // lane 0, which sees every lane's gradient. Lane 0 times
@@ -625,13 +635,13 @@ int ShmDataParallelTrainer::resume() {
         " worker slots -- a snapshot survives any membership change within "
         "its slot universe, but resuming under a different universe is "
         "rejected; resume with the slot count that wrote the snapshot");
-  // Broadcast restored weights, BN buffers and optimizer state to every
+  // Copy the restored weights, BN buffers and optimizer state into every
   // replica: the invariant that active replicas are bitwise-identical at
   // step boundaries must hold from the very first resumed step, and slots
   // inactive at the snapshot round are re-bootstrapped by the membership
   // layer on join anyway, so overwriting their (stale) state is harmless.
-  broadcast_state(replicas_);
-  for (auto& o : opts_) core::restore_optimizer(*o, st);
+  core::restore_optimizer(*opts_[0], st);
+  for (int w = 1; w < cfg_.workers; ++w) sync_replica(0, w);
   if (reducer_)
     reducer_->set_state(st.reducer);
   else if (!st.reducer.empty())

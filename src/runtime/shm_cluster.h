@@ -36,11 +36,12 @@
 // Fault tolerance (src/fault): a seeded fault::Plan can kill or delay a
 // worker at the top of a scheduled global step. Because replicas are
 // bitwise-identical at step boundaries, a killed worker is *reincarnated*
-// in place -- its (NaN-poisoned) parameters and optimizer velocity are
-// restored from the lowest surviving replica -- and the run continues
+// in place -- its NaN-poisoned state (params, BN buffers, optimizer slots)
+// is copied back from a donor by sync_replica -- and the run continues
 // bitwise-identical to a fault-free one. The plan doubles as the failure
-// detector: it is deterministic and visible to every worker, which mirrors
-// a real step-boundary failure detector at zero coordination cost.
+// detector: it is deterministic and visible to every worker, so every lane
+// meets at a step that schedules a kill, and lane 0 reincarnates the
+// victims while the others wait (a step without one adds no rendezvous).
 // Checkpoint/resume: with checkpoint_dir set, train() writes an atomic
 // weights + TrainState snapshot per epoch and resume() restores replicas,
 // optimizers, and per-worker Rng streams from it.
@@ -78,6 +79,12 @@ double timed_ring_allreduce(int workers, int64_t elems, int64_t bucket_bytes,
 // "re-bucketing preserves the all-reduced sum" contract membership changes
 // rely on.
 Tensor ring_allreduce(const std::vector<Tensor>& grads, int64_t bucket_bytes);
+
+// The one donor rule of every re-sync: the lowest of `candidates`
+// (ascending replica slots, non-empty) that `doomed` does not name; when it
+// names them all, the lowest candidate, which is spared.
+int donor_slot(const std::vector<int>& candidates,
+               const std::vector<int>& doomed);
 
 // Which replica slots participate in one epoch (src/elastic membership).
 // Defaults reproduce the static cluster: every slot active, slot 0
@@ -138,7 +145,8 @@ class ShmDataParallelTrainer {
   // the static cluster; the elastic trainer passes its current canonical).
   void save_snapshot(int next_epoch, int canonical = 0);
   // Restore replicas, optimizers, Rng streams, and step/time counters from
-  // cfg.checkpoint_dir, broadcasting the snapshot state to every slot.
+  // cfg.checkpoint_dir: the snapshot loads into slot 0, and sync_replica
+  // copies it into every other slot.
   // Returns the epoch to continue from. The resumed run is
   // bitwise-identical to an uninterrupted one. Throws when the snapshot's
   // worker-slot count differs from this cluster's: membership can change
@@ -151,8 +159,8 @@ class ShmDataParallelTrainer {
   // replica from `make`, runs `transfer(old_canonical, new_canonical)` once
   // (core::warm_start / defactorize / reproject: one SVD, not one per
   // worker), then gives the other replicas the canonical's low-rank ranks
-  // and copies every nn::checkpoint_tensors entry (params and BN buffers)
-  // into them, so all replicas start the next step bitwise equal. A null
+  // and its state (sync_replica), so all replicas start the next step
+  // bitwise equal. A null
   // `transfer` keeps the fresh, identically seeded replicas. The old
   // canonical is slot 0. Optimizers are rebuilt (velocity starts at zero). A
   // non-null `reducer` replaces the current one and re-selects the ring or
@@ -177,15 +185,19 @@ class ShmDataParallelTrainer {
   // Canonical replica (worker 0); evaluation runs against it.
   nn::UnaryModule& model() { return *replicas_[0]; }
   // Per-slot replica / optimizer access for the elastic membership layer
-  // (bootstrap payload capture and joiner reincarnation). The replicas of
-  // slots inactive in the current round are stale by contract.
+  // (delta bootstraps). The replicas of slots inactive in the current round
+  // are stale by contract.
   nn::UnaryModule& replica(int w) { return *replicas_[static_cast<size_t>(w)]; }
   optim::SGD& optimizer(int w) { return *opts_[static_cast<size_t>(w)]; }
+  // The one replica sync: copies slot `from`'s full state -- every
+  // nn::checkpoint_tensors entry (params and BN buffers) and every optimizer
+  // slot -- into slot `to` (from != to), in place. Throws before writing
+  // anything when the two state trees differ in count or in any shape.
+  // Returns the bytes moved.
+  int64_t sync_replica(int from, int to);
   // Kills slot w's replica: counts the kill (fault::record_kill) and
-  // NaN-poisons its params and optimizer slots, so a recovery that misses a
-  // tensor cannot pass silently. Running BN buffers are replica-local
-  // scratch (train mode uses batch stats) and are outside the recovery
-  // contract.
+  // NaN-poisons its full state (what sync_replica copies), so a recovery
+  // that misses a tensor cannot pass silently.
   void kill(int w);
   int workers() const { return cfg_.workers; }
   double cumulative_seconds() const { return wall_seconds_; }

@@ -97,10 +97,14 @@ Tensor pattern_tensor(Shape s, int salt) {
   return t;
 }
 
+// Writes pattern(i, salt) into the i-th float of the module's parameters,
+// walked in parameters() order.
 void set_pattern(nn::Module& m, int salt) {
-  Tensor flat = m.flat_params();
-  for (int64_t i = 0; i < flat.numel(); ++i) flat.data()[i] = pattern(i, salt);
-  m.set_flat_params(flat);
+  int64_t i = 0;
+  for (nn::Param* p : m.parameters()) {
+    Tensor& v = p->var->value;
+    for (int64_t j = 0; j < v.numel(); ++j) v.data()[j] = pattern(i++, salt);
+  }
 }
 
 // Every quantizable layer kind plus BatchNorm buffers, ~70 floats.

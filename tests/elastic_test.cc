@@ -17,6 +17,7 @@
 
 #include "dist/hardware.h"
 #include "models/resnet.h"
+#include "nn/serialize.h"
 #include "plan/planner.h"
 #include "runtime/shm_cluster.h"
 
@@ -227,6 +228,31 @@ TEST(ElasticTrainer, ExactJoinerIsBitwiseInSync) {
                             et.cluster().replica(2).flat_params()));
 }
 
+// An exact join and a kill recovery each move one replica's full state:
+// 4 bytes per checkpoint-tensor float and per SGD-velocity float.
+TEST(ElasticTrainer, ExactJoinAndKillMoveTheFullState) {
+  auto ds = tiny_data();
+  elastic::ElasticConfig cfg = tiny_elastic_config(3, 3, 6);
+  cfg.membership = elastic::MembershipPlan(3, 2);  // slot 2 joins later
+  cfg.membership.join(2, 1);
+  cfg.cluster.fault.kill_worker_round(1, 2);
+  elastic::ElasticTrainer et(tiny_resnet_factory(true), cfg);
+  const auto reps = et.train(ds);
+  ASSERT_EQ(reps.size(), 3u);
+
+  int64_t floats = 0;
+  for (const Tensor* t : nn::checkpoint_tensors(et.model()))
+    floats += t->numel();
+  for (const Tensor* t : et.cluster().optimizer(0).state_tensors())
+    floats += t->numel();
+  EXPECT_EQ(reps[1].joins, 1);
+  EXPECT_EQ(reps[1].bootstrap_bytes, 4 * floats);
+  EXPECT_EQ(reps[1].resync_bytes, 0);
+  EXPECT_EQ(reps[2].kills, 1);
+  EXPECT_EQ(reps[2].resync_bytes, 4 * floats);
+  EXPECT_EQ(reps[2].bootstrap_bytes, 0);
+}
+
 // ---- Chaos: >= 50 distinct seeds, green under randomized membership +
 // kills + stragglers; a subset replays bitwise. ----
 
@@ -377,6 +403,36 @@ TEST(ElasticTrainer, DeltaBootstrapShipsFewerBytesThanExact) {
   ASSERT_GT(exact_bytes, 0);
   ASSERT_GT(delta_bytes, 0);
   EXPECT_LT(delta_bytes, exact_bytes);
+}
+
+// A joiner whose module tree differs from the shared base (one more class,
+// so only the classifier's shapes differ) is rejected before the first
+// write: the throw leaves every tensor and optimizer slot untouched.
+TEST(ElasticTrainer, DeltaBootstrapMismatchLeavesJoinerUntouched) {
+  auto resnet = [](int classes, uint64_t seed) {
+    Rng rng(seed);
+    models::ResNetCifarConfig c;
+    c.width_mult = 0.0625;
+    c.num_classes = classes;
+    return std::make_unique<models::ResNet18Cifar>(c, rng);
+  };
+  auto base = resnet(4, 1), canonical = resnet(4, 2), joiner = resnet(5, 3);
+  quant::DeltaSpec spec;
+  spec.min_numel = 256;
+  const quant::DeltaModel delta = quant::compute_delta(*base, *canonical, spec);
+  optim::SGD opt(joiner->parameters(), 0.1f, 0.9f);
+  std::vector<Tensor*> live = nn::checkpoint_tensors(*joiner);
+  for (Tensor* t : opt.state_tensors()) {
+    t->fill(0.5f);
+    live.push_back(t);
+  }
+  std::vector<Tensor> before;
+  for (const Tensor* t : live) before.push_back(Tensor().copy_from(*t));
+
+  EXPECT_THROW(elastic::apply_bootstrap(*joiner, opt, delta, *base),
+               std::runtime_error);
+  for (size_t i = 0; i < live.size(); ++i)
+    EXPECT_TRUE(bitwise_equal(*live[i], before[i])) << "state tensor " << i;
 }
 
 // ---- Resume across a membership-change boundary. ----

@@ -19,6 +19,7 @@
 #include "compress/compressor.h"
 #include "metrics/metrics.h"
 #include "models/resnet.h"
+#include "nn/serialize.h"
 #include "runtime/shm_cluster.h"
 #include "serve/fleet.h"
 #include "serve/frozen.h"
@@ -186,6 +187,23 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
+// Every replica of `a` holds the full state of the same replica of `b`,
+// bitwise: params, BN buffers and optimizer slots.
+void expect_replicas_equal(runtime::ShmDataParallelTrainer& a,
+                           runtime::ShmDataParallelTrainer& b) {
+  ASSERT_EQ(a.workers(), b.workers());
+  for (int w = 0; w < a.workers(); ++w) {
+    std::vector<Tensor*> sa = nn::checkpoint_tensors(a.replica(w));
+    std::vector<Tensor*> sb = nn::checkpoint_tensors(b.replica(w));
+    for (Tensor* t : a.optimizer(w).state_tensors()) sa.push_back(t);
+    for (Tensor* t : b.optimizer(w).state_tensors()) sb.push_back(t);
+    ASSERT_EQ(sa.size(), sb.size());
+    for (size_t i = 0; i < sa.size(); ++i)
+      EXPECT_TRUE(bitwise_equal(*sa[i], *sb[i]))
+          << "replica " << w << " state tensor " << i;
+  }
+}
+
 runtime::ShmClusterConfig shm_config() {
   runtime::ShmClusterConfig scfg;
   scfg.workers = 4;
@@ -223,6 +241,7 @@ TEST(Fault, ShmKillAndDelayRecoveryIsBitwiseExact) {
         << "epoch " << e;
   EXPECT_TRUE(bitwise_equal(clean.model().flat_params(),
                             faulty.model().flat_params()));
+  expect_replicas_equal(clean, faulty);
 
   const fault::FaultStats s = fault::stats();
   EXPECT_EQ(s.injected_kills, 2u);
@@ -248,6 +267,7 @@ TEST(Fault, ShmSimultaneousKillsSpareOneSurvivor) {
   (void)faulty.train(ds);
   EXPECT_TRUE(bitwise_equal(clean.model().flat_params(),
                             faulty.model().flat_params()));
+  expect_replicas_equal(clean, faulty);
 }
 
 // ---------------- Serving drops + retry ----------------
